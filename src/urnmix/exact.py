@@ -1,11 +1,15 @@
 """Exact finite-state analysis: evolution, distances, spectra.
 
 States are indexed by colexicographic subset rank; signed states add the
-charge word as the high part, index = signs * C(n,r) + subset_rank.  Float
-evolution scatters kernel rows with numpy and is deterministic for a fixed
-model (no parallel reductions).  Rational evolution keeps integer
-numerators over the common denominator step_units(model)^k, so results are
-exact and bitwise reproducible.
+charge word as the high part, index = signs * C(n,r) + subset_rank.  Every
+exact path reads one integer kernel table, built with numpy: per source
+index, the distinct targets ascending and their integer weights in units of
+1/step_units(model).  Float evolution scatters it with bincount and is
+deterministic for a fixed model (no parallel reductions).  Rational
+evolution reads the same table as Python ints and keeps integer numerators
+over the common denominator step_units(model)^k, so results are exact and
+bitwise reproducible.  The dense kernel behind spectrum and the trace check
+is filled from it in one assignment.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -22,7 +26,6 @@ from .chains import (
     SignedUrnState,
     UrnState,
     initial_state,
-    kernel_row,
     step_units,
     subset_rank,
     subset_unrank,
@@ -129,24 +132,127 @@ class Distribution:
         return not isinstance(self.probs, np.ndarray)
 
 
-def _indexed_rows(model: ModelSpec):
-    """Kernel rows in index space: (targets, integer weights) per source.
+def _label(model: ModelSpec) -> str:
+    return f"{model.family.value} ({model.n},{model.r})"
 
-    Weights are in units of 1/step_units(model) and are exact.
+
+def _ball_bits(n: int) -> np.ndarray:
+    """1 << b for each ball: int64 up to 62 balls, Python ints beyond."""
+    if n <= 62:
+        return np.left_shift(1, np.arange(n, dtype=np.int64))
+    return np.array([1 << b for b in range(n)], dtype=object)
+
+
+def _subsets(bits: np.ndarray, r: int):
+    """The r-subsets in index order: ascending masks and a membership table.
+
+    inside[s, b] is true when ball b+1 sits on rack 1 in the s-th subset.
     """
-    units = step_units(model)
-    rows = []
-    for state in enumerate_states(model):
-        row = kernel_row(model, state)
-        targets = []
-        weights = []
-        for t, w in row.entries:
-            scaled = w * units
-            assert scaled.denominator == 1
-            targets.append(state_index(model, t))
-            weights.append(scaled.numerator)
-        rows.append((targets, weights))
-    return rows
+    n = len(bits)
+    members = np.fromiter(
+        chain.from_iterable(combinations(range(n), r)), dtype=np.intp, count=comb(n, r) * r
+    ).reshape(-1, r)
+    masks = bits[members].sum(axis=1)
+    order = np.argsort(masks)
+    inside = np.zeros((len(masks), n), dtype=bool)
+    inside[np.arange(len(masks))[:, None], members[order]] = True
+    return masks[order], inside
+
+
+def _kernel_table(model: ModelSpec):
+    """The aggregated kernel in CSR form: (counts, targets, units).
+
+    Row s (source index s) holds counts[s] distinct targets, ascending, with
+    integer weights units in 1/step_units(model); targets are intp, which
+    bincount takes without a cast.  Target subsets are ranked among the
+    sorted rack masks by searchsorted, so no state object or Fraction is
+    built per entry.  chains.kernel_row is the readable oracle this table
+    equals entry for entry.
+    """
+    bits = _ball_bits(model.n)
+    masks, inside = _subsets(bits, model.r)
+    if model.family.signed:
+        counts, targets, units = _signed_table(model, bits, masks, inside)
+    else:
+        counts, targets, units = _unsigned_table(model, bits, masks, inside)
+    starts = np.cumsum(counts) - counts
+    if np.any(np.add.reduceat(units, starts) != step_units(model)):
+        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
+    return counts, targets, units
+
+
+def _unsigned_table(model: ModelSpec, bits, masks, inside):
+    """Unsigned rows, all of width r(n-r) plus the variant chain's hold entry.
+
+    Every swap of a rack-1 ball with a rack-2 ball reaches a distinct
+    subset, so no two entries of a row share a target.
+    """
+    n, r = model.n, model.r
+    base = len(masks)
+    own = np.arange(base)[:, None]
+    members = np.nonzero(inside)[1].reshape(base, r)
+    others = np.nonzero(~inside)[1].reshape(base, n - r)
+    swapped = masks[:, None, None] ^ bits[members][:, :, None] ^ bits[others][:, None, :]
+    targets = np.searchsorted(masks, swapped.reshape(base, -1))
+    del swapped
+    if model.family is Family.VARIANT:
+        targets = np.concatenate([targets, own], axis=1)
+        targets.sort(axis=1)
+        units = np.where(targets == own, n * n - 2 * r * (n - r), 2)
+    else:
+        targets.sort(axis=1)
+        units = np.ones(targets.shape, dtype=np.int64)
+    counts = np.full(base, targets.shape[1], dtype=np.intp)
+    return counts, targets.ravel(), units.ravel()
+
+
+def _signed_table(model: ModelSpec, bits, masks, inside):
+    """Signed rows, built one charge word at a time.
+
+    A move is a rack change (none, or the swap of an unordered ball pair)
+    with a charge flip word and its units.  Neither the target's subset
+    rank nor which moves of a row land on the same target depends on the
+    charge word, so every charge word yields the same row lengths.
+    """
+    n = model.n
+    base = len(masks)
+    b1, b2 = np.triu_indices(n, 1)
+    both = bits[b1] | bits[b2]
+    swap = np.where(inside[:, b1] != inside[:, b2], both, 0)
+    pair_rank = np.searchsorted(masks, masks[:, None] ^ swap)
+    del swap
+    if model.family is Family.INDEPENDENT_FLIPS:
+        hold, single, pair_flips = 2 * n, 2, (np.zeros_like(both), bits[b1], bits[b2], both)
+    else:
+        hold, single, pair_flips = n, 1, (np.zeros_like(both), both)
+    pair_flips = np.stack(pair_flips, axis=1)
+    flips = np.concatenate([[0], bits, pair_flips.ravel()])
+    move_units = np.concatenate([[hold], np.full(n, single), np.full(pair_flips.size, 2)])
+    rank = np.concatenate(
+        [
+            np.broadcast_to(np.arange(base)[:, None], (base, n + 1)),
+            np.repeat(pair_rank, pair_flips.shape[1], axis=1),
+        ],
+        axis=1,
+    )
+    del pair_rank
+    width = None
+    for signs in range(1 << n):
+        block = (signs ^ flips) * base + rank
+        order = np.argsort(block, axis=1)
+        block = np.take_along_axis(block, order, axis=1)
+        fresh = np.ones(block.shape, dtype=bool)
+        fresh[:, 1:] = block[:, 1:] != block[:, :-1]
+        starts = np.flatnonzero(fresh)
+        if width is None:
+            width = len(starts)
+            counts = np.tile(fresh.sum(axis=1), 1 << n)
+            targets = np.empty(width << n, dtype=np.intp)
+            units = np.empty(width << n, dtype=np.int64)
+        piece = slice(signs * width, (signs + 1) * width)
+        targets[piece] = block.ravel()[starts]
+        units[piece] = np.add.reduceat(move_units[order].ravel(), starts)
+    return counts, targets, units
 
 
 def evolve(model: ModelSpec, k: int, exact: bool = False, state_cap: int | None = None) -> Distribution:
@@ -178,11 +284,14 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False, state_cap: int | 
         if n_states > cap:
             raise SpaceCapError(n_states, cap, "evolution state count")
 
-    rows = _indexed_rows(model)
-    units = step_units(model)
+    counts, targets, units = _kernel_table(model)
+    step = step_units(model)
     start = state_index(model, initial_state(model))
 
     if exact:
+        ends = np.cumsum(counts).tolist()
+        targets, units = targets.tolist(), units.tolist()
+        rows = [(targets[e - c : e], units[e - c : e]) for c, e in zip(counts.tolist(), ends)]
         nums = [0] * n_states
         nums[start] = 1
         denom = 1
@@ -190,29 +299,26 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False, state_cap: int | 
         for k in ks:
             while step_no < k:
                 new = [0] * n_states
-                for s, (targets, weights) in enumerate(rows):
+                for s, (row_targets, row_units) in enumerate(rows):
                     v = nums[s]
                     if v:
-                        for t, w in zip(targets, weights):
+                        for t, w in zip(row_targets, row_units):
                             new[t] += w * v
                 nums = new
-                denom *= units
+                denom *= step
                 step_no += 1
             yield k, Distribution(model, [Fraction(v, denom) for v in nums])
         return
 
-    counts = np.array([len(t) for t, _ in rows], dtype=np.int64)
-    flat_targets = np.concatenate([np.array(t, dtype=np.int64) for t, _ in rows])
-    flat_weights = np.concatenate(
-        [np.array(w, dtype=np.float64) / units for _, w in rows]
-    )
+    weights = units / step
+    del units
     probs = np.zeros(n_states)
     probs[start] = 1.0
     step_no = 0
     for k in ks:
         while step_no < k:
-            contrib = np.repeat(probs, counts) * flat_weights
-            probs = np.bincount(flat_targets, weights=contrib, minlength=n_states)
+            contrib = np.repeat(probs, counts) * weights
+            probs = np.bincount(targets, weights=contrib, minlength=n_states)
             step_no += 1
         yield k, Distribution(model, probs.copy())
 
@@ -272,11 +378,9 @@ def _dense_kernel(model: ModelSpec, cap: int) -> np.ndarray:
     n_states = space_size(model)
     if n_states > cap:
         raise SpaceCapError(n_states, cap, "dense kernel state count")
-    units = step_units(model)
+    counts, targets, units = _kernel_table(model)
     mat = np.zeros((n_states, n_states))
-    for s, (targets, weights) in enumerate(_indexed_rows(model)):
-        for t, w in zip(targets, weights):
-            mat[s, t] = w / units
+    mat[np.repeat(np.arange(n_states), counts), targets] = units / step_units(model)
     return mat
 
 
@@ -284,12 +388,13 @@ def spectrum(model: ModelSpec, cap: int = DENSE_CAP) -> np.ndarray:
     """All kernel eigenvalues, descending.
 
     The rational kernel is symmetric, so the float matrix is symmetric to
-    the last bit; this is asserted (tolerance 1e-15) before symmetrizing
-    and calling the dense symmetric eigensolver.
+    the last bit; this is checked (tolerance 1e-15, RuntimeError otherwise)
+    before symmetrizing and calling the dense symmetric eigensolver.
     """
     mat = _dense_kernel(model, cap)
     skew = np.abs(mat - mat.T).max()
-    assert skew <= 1e-15, f"kernel asymmetry {skew}"
+    if skew > 1e-15:
+        raise RuntimeError(f"{_label(model)}: kernel asymmetry {skew}")
     sym = (mat + mat.T) / 2.0
     return np.sort(np.linalg.eigvalsh(sym))[::-1]
 

@@ -126,6 +126,7 @@ def _check_eigenvalue_sanity() -> CheckResult:
 
 
 def _check_kernel_rows() -> CheckResult:
+    """The oracle rows sum to 1 and are symmetric; the integer table equals them."""
     grid = [
         ModelSpec(Family.CLASSICAL, 4, 2),
         ModelSpec(Family.VARIANT, 4, 2),
@@ -134,6 +135,8 @@ def _check_kernel_rows() -> CheckResult:
     ]
     for model in grid:
         weights = {}
+        counts, targets, units = [], [], []
+        step = chains.step_units(model)
         states = exact.enumerate_states(model)
         for s in states:
             row = chains.kernel_row(model, s)
@@ -141,8 +144,11 @@ def _check_kernel_rows() -> CheckResult:
                 return CheckResult(
                     "kernel-rows", False, f"{model.family.value}: row sum {row.total()} != 1"
                 )
+            counts.append(len(row.entries))
             for t, w in row.entries:
                 weights[(s, t)] = w
+                targets.append(exact.state_index(model, t))
+                units.append(w * step)
         for (s, t), w in weights.items():
             if weights.get((t, s), Fraction(0)) != w:
                 return CheckResult(
@@ -150,7 +156,21 @@ def _check_kernel_rows() -> CheckResult:
                     False,
                     f"{model.family.value}: kernel not symmetric at {s} -> {t}",
                 )
-    return CheckResult("kernel-rows", True, "rows sum to 1 exactly, kernels symmetric")
+        table = exact._kernel_table(model)
+        oracle = (counts, targets, units)
+        for name, got, want in zip(("counts", "targets", "units"), table, oracle):
+            if got.tolist() != want:
+                return CheckResult(
+                    "kernel-rows",
+                    False,
+                    f"{model.family.value}: kernel table {name} differ from kernel_row",
+                )
+    return CheckResult(
+        "kernel-rows",
+        True,
+        "kernel_row rows sum to 1 exactly, kernels symmetric; "
+        f"kernel table equals kernel_row on {len(grid)} models",
+    )
 
 
 def _spectrum_mismatch(model: ModelSpec, tol: float = 1e-8):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urnmix import exact
 from urnmix.bounds import l2n_sq_bound, tv_upper
-from urnmix.chains import SignedUrnState, UrnState, initial_state, kernel_row
+from urnmix.chains import SignedUrnState, UrnState, initial_state, kernel_row, step_units
 from urnmix.exact import (
     SpaceCapError,
     distance_curve,
@@ -24,6 +26,7 @@ from urnmix.exact import (
     subset_marginal,
     trace_identity_check,
     tv_distance,
+    _kernel_table,
 )
 from urnmix.models import Family, ModelSpec
 
@@ -225,7 +228,11 @@ def test_subset_marginal_of_signed_evolution():
             assert np.allclose(marg.probs, ref.probs, atol=1e-12)
 
 
-def test_space_caps():
+def test_space_caps(monkeypatch):
+    def no_table(model):
+        raise AssertionError("kernel table built before the cap check")
+
+    monkeypatch.setattr(exact, "_kernel_table", no_table)
     with pytest.raises(SpaceCapError):
         evolve(ModelSpec(Family.VARIANT, 40, 20), 1)
     with pytest.raises(SpaceCapError):
@@ -252,3 +259,141 @@ def test_distribution_csv_roundtrip():
     assert len(lines) == 1 + space_size(model)
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.allclose(parsed, dist.probs, rtol=0, atol=0)  # 17g round-trips
+
+
+# -- the integer kernel table against the kernel_row oracle ---------------------
+
+
+def _oracle_table(model):
+    """(counts, targets, units) built from kernel_row, one state at a time."""
+    units_per_step = step_units(model)
+    counts, targets, units = [], [], []
+    for state in enumerate_states(model):
+        entries = kernel_row(model, state).entries
+        counts.append(len(entries))
+        for t, w in entries:
+            scaled = w * units_per_step
+            assert scaled.denominator == 1
+            targets.append(state_index(model, t))
+            units.append(scaled.numerator)
+    return np.array(counts), np.array(targets), np.array(units)
+
+
+def _table_mismatch(model, table):
+    """None when table equals the oracle, is symmetric and sums rows to step_units."""
+    counts, targets, units = table
+    if targets.dtype != np.intp:
+        return f"targets are {targets.dtype}, not intp"
+    for name, got, want in zip(("counts", "targets", "units"), table, _oracle_table(model)):
+        if not np.array_equal(got, want):
+            return f"{name} differ from the oracle"
+    n_states = space_size(model)
+    mat = np.zeros((n_states, n_states), dtype=np.int64)
+    mat[np.repeat(np.arange(n_states), counts), targets] = units
+    if not np.array_equal(mat, mat.T):
+        return "table is not symmetric"
+    if not np.all(mat.sum(axis=1) == step_units(model)):
+        return "row sums differ from step_units"
+    return None
+
+
+EDGE_SHAPES = [
+    (Family.CLASSICAL, 2, 1),
+    (Family.VARIANT, 2, 1),
+    (Family.CLASSICAL, 5, 1),
+    (Family.CLASSICAL, 6, 3),
+    (Family.VARIANT, 7, 3),
+    (Family.VARIANT, 8, 4),
+] + [
+    (family, n, r)
+    for family in (Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS)
+    for n, r in ((2, 1), (3, 1), (4, 2), (5, 2))
+]
+
+
+@pytest.mark.parametrize("family,n,r", EDGE_SHAPES)
+def test_kernel_table_equals_oracle(family, n, r):
+    model = ModelSpec(family, n, r)
+    assert _table_mismatch(model, _kernel_table(model)) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(list(Family)),
+    n=st.integers(min_value=2, max_value=9),
+    data=st.data(),
+)
+def test_kernel_table_equals_oracle_property(family, n, data):
+    if family.signed:
+        n = min(n, 5)
+    r = data.draw(st.integers(min_value=1, max_value=n // 2))
+    model = ModelSpec(family, n, r)
+    assert _table_mismatch(model, _kernel_table(model)) is None
+
+
+def test_kernel_table_check_catches_one_target_off_by_one():
+    for family in Family:
+        model = ModelSpec(family, 4, 2)
+        counts, targets, units = _kernel_table(model)
+        for pos in (0, len(targets) // 2, len(targets) - 1):
+            bad = targets.copy()
+            bad[pos] += 1 if bad[pos] == 0 else -1
+            assert _table_mismatch(model, (counts, bad, units)) is not None
+
+
+def test_kernel_table_rows_above_62_balls():
+    """Masks beyond 62 balls are Python ints; the table is the same kind."""
+    for model in (ModelSpec(Family.VARIANT, 70, 1), ModelSpec(Family.CLASSICAL, 64, 2)):
+        counts, targets, units = _kernel_table(model)
+        assert targets.dtype == np.intp
+        assert len(counts) == space_size(model)
+        for idx in (0, 7, space_size(model) - 1):
+            start = int(counts[:idx].sum())
+            row = kernel_row(model, state_at(model, idx))
+            assert counts[idx] == len(row.entries)
+            assert targets[start : start + counts[idx]].tolist() == [
+                state_index(model, t) for t, _ in row.entries
+            ]
+            assert units[start : start + counts[idx]].tolist() == [
+                int(w * step_units(model)) for _, w in row.entries
+            ]
+
+
+# -- sizes that only the table makes cheap --------------------------------------
+
+
+def test_float_plancherel_variant_16_8():
+    """12,870 states, k up to 50: float l2 distance equals the spectral sum."""
+    model = ModelSpec(Family.VARIANT, 16, 8)
+    for k, dist in evolve_sequence(model, [5, 20, 50]):
+        want = l2n_sq_bound(model, k)
+        assert abs(exact.l2n_sq_distance(dist) - want) <= 1e-9 * want
+
+
+def test_subset_marginal_paired_7_3():
+    """4,480 signed states collapse onto the variant(7,3) law."""
+    signed = ModelSpec(Family.PAIRED_FLIPS, 7, 3)
+    plain = ModelSpec(Family.VARIANT, 7, 3)
+    ks = [0, 1, 5, 20]
+    for (k, d_signed), (_, d_plain) in zip(evolve_sequence(signed, ks), evolve_sequence(plain, ks)):
+        marg = subset_marginal(d_signed)
+        assert marg.model == plain
+        assert np.abs(marg.probs - d_plain.probs).max() <= 1e-12
+
+
+def test_kernel_table_row_sum_check_raises(monkeypatch):
+    model = ModelSpec(Family.VARIANT, 4, 2)
+    monkeypatch.setattr(exact, "step_units", lambda m: step_units(m) + 1)
+    with pytest.raises(RuntimeError, match="step_units"):
+        _kernel_table(model)
+
+
+def test_spectrum_rejects_asymmetric_kernel(monkeypatch):
+    model = ModelSpec(Family.CLASSICAL, 4, 2)
+    counts, targets, units = _kernel_table(model)
+    units = units.copy()
+    units[0] += 1  # row 0 keeps its sum but no longer mirrors its column
+    units[1] -= 1
+    monkeypatch.setattr(exact, "_kernel_table", lambda m: (counts, targets, units))
+    with pytest.raises(RuntimeError, match="asymmetry"):
+        spectrum(model)
