@@ -34,12 +34,12 @@ def main() -> int:
     center = 0.25 * n * math.log(n)
     print(f"# n={n}, r={n // 2}, quarter-n-log-n = {center:.2f}", file=sys.stderr)
     print("k,c_offset,tv_upper,lower_proxy")
-    for i in range(args.points):
-        c = -args.span + 2 * args.span * i / (args.points - 1)
-        k = max(0, round(0.25 * n * (math.log(n) + c)))
-        up = min(1.0, bounds.tv_upper(model, k))
-        proxy = bounds.leading_l2_term(model, k)
-        print(f"{k},{c:.3f},{up:.6g},{proxy:.6g}")
+    cs = [-args.span + 2 * args.span * i / (args.points - 1) for i in range(args.points)]
+    ks = [max(0, round(0.25 * n * (math.log(n) + c))) for c in cs]
+    for c, p in zip(cs, bounds.bound_curve(model, ks)):
+        up = min(1.0, p.tv_upper)
+        proxy = bounds.leading_l2_term(model, p.k)
+        print(f"{p.k},{c:.3f},{up:.6g},{proxy:.6g}")
     return 0
 
 

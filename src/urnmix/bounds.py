@@ -7,43 +7,40 @@ Squared l2 distance to uniform after k steps (scaled by |X|/4) equals
 total variation is at most its square root.  The lower bound runs the usual
 second-moment argument on the first spherical function.
 
-Natural logarithm throughout.  Bound sums are evaluated in log space so big
-dimensions (n in the thousands, unsigned) cannot overflow; the exact mode
-keeps everything rational for cross-checks at small n.
+Natural logarithm throughout.  Float bounds read one spectral measure: the
+nontrivial spectrum grouped by distinct eigenvalue, with the exact integer
+weight of each and both logs precomputed, so a sweep over many k is one
+vectorized logsumexp.  Big dimensions (n in the thousands) stay finite in
+log space; a bound that itself exceeds the float range comes out as inf,
+and log_l2n_sq_bound gives its finite log.  The exact mode keeps everything
+rational for cross-checks at small n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
-from .catalog import (
-    IrrepEntry,
-    catalog_entries,
-    eig_classical,
-    eig_independent,
-    eig_paired,
-    eig_variant,
-    nontrivial_entries,
-)
+import numpy as np
+
+from . import catalog
+from .catalog import eig_classical, nontrivial_entries
 from .models import Family, ModelSpec
 
 __all__ = [
-    "eig_classical",
-    "eig_variant",
-    "eig_independent",
-    "eig_paired",
     "BoundCurvePoint",
     "LowerBoundReport",
+    "SpectralMeasure",
+    "spectral_measure",
     "l2n_sq_bound",
+    "log_l2n_sq_bound",
     "tv_upper",
     "bound_curve",
     "leading_l2_term",
     "theorem_k",
     "spherical_s1",
     "moment_s1",
-    "moment_s2",
     "variance_ratio",
     "lower_bound",
     "crossover_f",
@@ -76,49 +73,139 @@ class LowerBoundReport:
     var_ratio: float
 
 
+@dataclass(frozen=True)
+class SpectralMeasure:
+    """The nontrivial spectrum grouped by distinct eigenvalue.
+
+    Eigenvalue nums[d] / den carries the exact integer weight weights[d],
+    the summed dim * mult of its components; nums descend.  log_abs holds
+    log|eigenvalue| (-inf at 0) and log_weight log(weight), both float64
+    arrays; log_total is the log of the summed weight, |X| - 1.  The trivial
+    component (eigenvalue 1, dimension 1) is left out.
+    """
+
+    den: int
+    nums: tuple
+    weights: tuple
+    log_abs: np.ndarray
+    log_weight: np.ndarray
+    log_total: float
+
+
+def _log_abs(num: int, den: int) -> float:
+    """log|num/den|; log1p near 1, where log(num) - log(den) would cancel."""
+    a = abs(num)
+    if 2 * a >= den:
+        return math.log1p((a - den) / den)
+    return math.log(a / den) if a else -math.inf
+
+
+def spectral_measure(model: ModelSpec) -> SpectralMeasure:
+    """Group the catalog walker's components by eigenvalue, summing exact weights."""
+    trivial = astuple(catalog.trivial_label(model))
+    grouped: dict[int, int] = {}
+    for label, dim, mult, num in catalog._components(model):
+        if label != trivial:
+            grouped[num] = grouped.get(num, 0) + dim * mult
+    den = catalog._eigen_den(model)
+    nums = sorted(grouped, reverse=True)
+    weights = [grouped[num] for num in nums]
+    return SpectralMeasure(
+        den=den,
+        nums=tuple(nums),
+        weights=tuple(weights),
+        log_abs=np.array([_log_abs(num, den) for num in nums]),
+        log_weight=np.array([math.log(w) for w in weights]),
+        log_total=math.log(sum(weights)),
+    )
+
+
+# bytes of one (k x distinct eigenvalue) block of log terms
+_BLOCK_BYTES = 1 << 20
+_LOG4 = math.log(4)
+
+
+def _log_bounds(measure: SpectralMeasure, ks) -> np.ndarray:
+    """log of (1/4) sum_d weight_d |eigenvalue_d|^(2k), for each k.
+
+    One logsumexp per k, over the distinct eigenvalues, in blocks of k that
+    keep the temporaries near _BLOCK_BYTES.  A zero eigenvalue counts only
+    at k = 0, where the sum is the total weight.
+    """
+    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    if ks.size and ks.min() < 0:
+        raise ValueError(f"need k >= 0, got {int(ks.min())}")
+    out = np.full(ks.shape, measure.log_total)
+    moving = np.flatnonzero(ks > 0)
+    rows = max(1, _BLOCK_BYTES // (8 * len(measure.log_abs)))
+    with np.errstate(divide="ignore"):
+        for start in range(0, len(moving), rows):
+            at = moving[start : start + rows]
+            terms = np.multiply.outer(2.0 * ks[at], measure.log_abs)
+            terms += measure.log_weight
+            top = terms.max(axis=1)
+            top[top == -np.inf] = 0.0  # every eigenvalue zero: the sum is 0
+            terms -= top[:, None]
+            np.exp(terms, out=terms)
+            out[at] = top + np.log(terms.sum(axis=1))
+    return out - _LOG4
+
+
+def _from_log(log_bound: float) -> float:
+    """exp, giving inf past the float range instead of raising."""
+    try:
+        return math.exp(log_bound)
+    except OverflowError:
+        return math.inf
+
+
+def log_l2n_sq_bound(model: ModelSpec, k: int) -> float:
+    """Natural log of l2n_sq_bound(model, k); finite wherever the bound is nonzero."""
+    return float(_log_bounds(spectral_measure(model), [k])[0])
+
+
 def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     """(1/4) sum over nontrivial components of dim * mult * eigenvalue^(2k).
 
     This equals |X|/4 times the squared l2 distance of the k-step law from
-    uniform (an identity, not just a bound).  Float mode works term-wise in
-    log space; exact mode returns a Fraction.  Pass precomputed catalog
-    entries to amortize sweeps over many k.
+    uniform (an identity, not just a bound).  Float mode evaluates the
+    spectral measure in log space and returns inf when the bound itself
+    exceeds the float range (large n at small k); log_l2n_sq_bound gives
+    its log.  Exact mode returns a Fraction; pass precomputed catalog
+    entries to amortize exact sums over many k.  For float sweeps use
+    bound_curve, which builds the measure once.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    terms = nontrivial_entries(model, entries)
-    if exact:
-        total = Fraction(0)
-        for e in terms:
-            total += e.weight * e.eigenvalue ** (2 * k)
-        return total / 4
-    total = 0.0
-    for e in terms:
-        lam = e.eigenvalue
-        if lam == 0:
-            if k == 0:
-                total += float(e.weight)
-            continue
-        log_term = math.log(e.weight) + 2 * k * math.log(abs(lam.numerator) / lam.denominator)
-        total += math.exp(log_term)
-    return total / 4.0
+    if not exact:
+        if entries is not None:
+            raise ValueError("entries apply to exact mode; use bound_curve for float sweeps")
+        return _from_log(log_l2n_sq_bound(model, k))
+    total = Fraction(0)
+    for e in nontrivial_entries(model, entries):
+        total += e.weight * e.eigenvalue ** (2 * k)
+    return total / 4
 
 
-def tv_upper(model: ModelSpec, k: int, entries=None) -> float:
+def tv_upper(model: ModelSpec, k: int) -> float:
     """Square root of l2n_sq_bound: the spectral total-variation bound.
 
     Returned raw; values above 1 are vacuous and should be clamped to 1
     for presentation only.
     """
-    return math.sqrt(l2n_sq_bound(model, k, entries=entries))
+    return math.sqrt(l2n_sq_bound(model, k))
 
 
 def bound_curve(model: ModelSpec, ks) -> list[BoundCurvePoint]:
-    """Evaluate the bound on a step grid, building the catalog once."""
-    entries = catalog_entries(model)
+    """Evaluate the bound on a step grid, building the spectral measure once.
+
+    Each point equals l2n_sq_bound(model, k) bit for bit.
+    """
+    ks = list(ks)
+    logs = _log_bounds(spectral_measure(model), ks)
     points = []
-    for k in ks:
-        b = l2n_sq_bound(model, k, entries=entries)
+    for k, log_bound in zip(ks, logs.tolist()):
+        b = _from_log(log_bound)
         points.append(BoundCurvePoint(k=k, l2n_sq=b, tv_upper=math.sqrt(b)))
     return points
 
@@ -179,15 +266,6 @@ def spherical_s1(n: int, r: int, state) -> Fraction:
 def moment_s1(n: int, k: int) -> float:
     """Mean of the first spherical function after k variant steps: (1-2/n)^k."""
     return (1 - 2 / n) ** k
-
-
-def moment_s2(n: int, k: int) -> float:
-    """Mean of the second spherical function after k variant steps.
-
-    The second eigenvalue is exactly the square of the first, so this is
-    (1-2/n)^(2k).
-    """
-    return (1 - 2 / n) ** (2 * k)
 
 
 def variance_ratio(n: int, r: int, k: int) -> float:

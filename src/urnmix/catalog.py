@@ -169,6 +169,62 @@ class IrrepEntry:
         return self.dim * self.mult
 
 
+def _two_row_dims(size: int, top: int) -> list[int]:
+    """dim [size-i, i] for i = 0..top, by the recurrence C(s,i+1) = C(s,i)(s-i)/(i+1)."""
+    dims = []
+    prev, cur = 0, 1
+    for i in range(top + 1):
+        dims.append(cur - prev)
+        prev, cur = cur, cur * (size - i) // (i + 1)
+    return dims
+
+
+def _eigen_den(model: ModelSpec) -> int:
+    """Common denominator of a model's eigenvalues: r(n-r) classical, n^2 otherwise."""
+    if model.family is Family.CLASSICAL:
+        return model.r * (model.n - model.r)
+    return model.n * model.n
+
+
+def _components(model: ModelSpec):
+    """Every component as exact integers (label, dim, mult, num), in catalog order.
+
+    label is (i,) for the unsigned families and (j, ell, m) for the signed
+    ones; the eigenvalue is num / _eigen_den(model).  Dimensions come from
+    the binomial recurrence, never from one binomial per entry.  For signed
+    (j, ell, m) the admissible splits i of the r rack-1 balls form the
+    interval [max(ilo, r+m-(n-j)), min(ihi, r-m)], so the multiplicity is
+    its length, and m runs up from 0 while that length is positive.
+    """
+    n, r, family = model.n, model.r, model.family
+    if not family.signed:
+        for i, dim in enumerate(_two_row_dims(n, r)):
+            if family is Family.CLASSICAL:
+                num = r * (n - r) - i * (n - i + 1)
+            else:
+                num = n * n - 2 * i * (n - i + 1)
+            yield (i,), dim, 1, num
+        return
+    paired = family is Family.PAIRED_FLIPS
+    dims = [_two_row_dims(s, s // 2) for s in range(n + 1)]
+    choose = 1  # C(n, j)
+    for j in range(n + 1):
+        rest = n - j
+        for ell in range(j // 2 + 1):
+            ilo = max(ell, r - rest)
+            ihi = min(r, j - ell)
+            if ilo > ihi:
+                continue
+            first = j * j - 2 * ell * (j - ell + 1)
+            outer = choose * dims[j][ell]
+            m = 0
+            while (mult := min(ihi, r - m) - max(ilo, r + m - rest) + 1) > 0:
+                num = first + rest * rest - 2 * m * (rest - m + 1) - rest if paired else first
+                yield (j, ell, m), outer * dims[rest][m], mult, num
+                m += 1
+        choose = choose * rest // (j + 1)
+
+
 def unsigned_catalog(n: int, r: int, family: Family) -> list[IrrepEntry]:
     """All components [n-i, i], i = 0..r, with kernel eigenvalues.
 
@@ -176,17 +232,7 @@ def unsigned_catalog(n: int, r: int, family: Family) -> list[IrrepEntry]:
     """
     if family not in (Family.CLASSICAL, Family.VARIANT):
         raise ValueError(f"unsigned catalog needs an unsigned family, got {family}")
-    ModelSpec(family, n, r)  # parameter validation
-    entries = []
-    for i in range(r + 1):
-        if family is Family.CLASSICAL:
-            lam = eig_classical(n, r, i)
-        else:
-            lam = eig_variant(n, i)
-        entries.append(
-            IrrepEntry(label=UnsignedIrrep(i), dim=dim_two_row(n, i), mult=1, eigenvalue=lam)
-        )
-    return entries
+    return catalog_entries(ModelSpec(family, n, r))
 
 
 def signed_catalog(n: int, r: int, family: Family) -> list[IrrepEntry]:
@@ -200,41 +246,21 @@ def signed_catalog(n: int, r: int, family: Family) -> list[IrrepEntry]:
     """
     if family not in (Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS):
         raise ValueError(f"signed catalog needs a signed family, got {family}")
-    ModelSpec(family, n, r)
-    entries = []
-    for j in range(n + 1):
-        for ell in range(j // 2 + 1):
-            ilo = max(ell, r - (n - j))
-            ihi = min(r, j - ell)
-            if ilo > ihi:
-                continue
-            mult_by_m: dict[int, int] = {}
-            for i in range(ilo, ihi + 1):
-                mmax = min(r - i, (n - j) - (r - i))
-                for m in range(mmax + 1):
-                    mult_by_m[m] = mult_by_m.get(m, 0) + 1
-            for m in sorted(mult_by_m):
-                if family is Family.INDEPENDENT_FLIPS:
-                    lam = eig_independent(n, j, ell)
-                else:
-                    lam = eig_paired(n, j, ell, m)
-                dim = binomial(n, j) * dim_two_row(j, ell) * dim_two_row(n - j, m)
-                entries.append(
-                    IrrepEntry(
-                        label=SignedIrrep(j, ell, m),
-                        dim=dim,
-                        mult=mult_by_m[m],
-                        eigenvalue=lam,
-                    )
-                )
-    return entries
+    return catalog_entries(ModelSpec(family, n, r))
 
 
 def catalog_entries(model: ModelSpec) -> list[IrrepEntry]:
-    """Catalog for a model, dispatching on the family."""
-    if model.family.signed:
-        return signed_catalog(model.n, model.r, model.family)
-    return unsigned_catalog(model.n, model.r, model.family)
+    """Catalog for a model: the walker's components with one Fraction per distinct eigenvalue."""
+    den = _eigen_den(model)
+    label = SignedIrrep if model.family.signed else UnsignedIrrep
+    lams: dict[int, Fraction] = {}
+    entries = []
+    for idx, dim, mult, num in _components(model):
+        lam = lams.get(num)
+        if lam is None:
+            lam = lams[num] = Fraction(num, den)
+        entries.append(IrrepEntry(label=label(*idx), dim=dim, mult=mult, eigenvalue=lam))
+    return entries
 
 
 def trivial_label(model: ModelSpec) -> UnsignedIrrep | SignedIrrep:

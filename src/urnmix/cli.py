@@ -166,13 +166,19 @@ def cmd_exact(args) -> int:
     if (args.k is None) == (args.k_grid is None):
         raise ValueError("exact needs exactly one of --k, --k-grid")
     ks = [args.k] if args.k is not None else _parse_int_grid(args.k_grid)
-    entries = catalog.catalog_entries(model)
+    if args.rational:
+        entries = catalog.catalog_entries(model)
+    else:
+        curve = {p.k: p.l2n_sq for p in bounds.bound_curve(model, ks)}
     lines = ["k,tv_exact,l2n_sq_exact,tv_upper,plancherel_rel_err"]
     last_dist = None
     for k, dist in exact.evolve_sequence(model, ks, exact=args.rational):
         tv = exact.tv_distance(dist)
         l2 = exact.l2n_sq_distance(dist)
-        bound = bounds.l2n_sq_bound(model, k, exact=args.rational, entries=entries)
+        if args.rational:
+            bound = bounds.l2n_sq_bound(model, k, exact=True, entries=entries)
+        else:
+            bound = curve[k]
         if bound == 0:
             rel = 0.0 if l2 == 0 else math.inf
         else:

@@ -22,6 +22,7 @@ from math import comb
 
 import numpy as np
 
+from .bounds import spectral_measure
 from .chains import (
     SignedUrnState,
     UrnState,
@@ -30,7 +31,6 @@ from .chains import (
     subset_rank,
     subset_unrank,
 )
-from .catalog import catalog_entries
 from .models import Family, ModelSpec
 
 __all__ = [
@@ -317,8 +317,11 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False, state_cap: int | 
     step_no = 0
     for k in ks:
         while step_no < k:
-            contrib = np.repeat(probs, counts) * weights
+            # one table-length temporary, freed before the next step makes its own
+            contrib = np.repeat(probs, counts)
+            contrib *= weights
             probs = np.bincount(targets, weights=contrib, minlength=n_states)
+            del contrib
             step_no += 1
         yield k, Distribution(model, probs.copy())
 
@@ -399,12 +402,16 @@ def spectrum(model: ModelSpec, cap: int = DENSE_CAP) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(sym))[::-1]
 
 
+def _catalog_spectrum(model: ModelSpec):
+    """(eigenvalues, integer weights) from the spectral measure, trivial 1 first."""
+    measure = spectral_measure(model)
+    return [1.0] + [num / measure.den for num in measure.nums], (1,) + measure.weights
+
+
 def expected_spectrum(model: ModelSpec) -> np.ndarray:
     """Eigenvalues predicted by the catalog, with weights, descending."""
-    vals = []
-    for e in catalog_entries(model):
-        vals.extend([float(e.eigenvalue)] * e.weight)
-    return np.sort(np.array(vals))[::-1]
+    values, weights = _catalog_spectrum(model)
+    return np.sort(np.repeat(values, weights))[::-1]
 
 
 @dataclass(frozen=True)
@@ -424,12 +431,12 @@ def trace_identity_check(model: ModelSpec, kmax: int, cap: int = DENSE_CAP) -> l
     if kmax < 1:
         raise ValueError(f"need kmax >= 1, got {kmax}")
     mat = _dense_kernel(model, cap)
-    entries = catalog_entries(model)
+    values, weights = _catalog_spectrum(model)
     out = []
     power = mat.copy()
     for k in range(1, kmax + 1):
         kernel_trace = float(np.trace(power))
-        catalog_trace = float(sum(e.weight * float(e.eigenvalue) ** k for e in entries))
+        catalog_trace = float(sum(w * lam**k for lam, w in zip(values, weights)))
         denom = max(1.0, abs(catalog_trace))
         out.append(
             TraceCheckRow(

@@ -10,7 +10,7 @@ consistency, and determinism of the simulators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +19,15 @@ import numpy as np
 from . import bounds, catalog, chains, exact, montecarlo
 from .models import Family, ModelSpec
 
-__all__ = ["CheckResult", "VerifyReport", "run_quick", "run_full", "SPECTRUM_GRID"]
+__all__ = [
+    "CheckResult",
+    "VerifyReport",
+    "run_quick",
+    "run_full",
+    "reference_catalog",
+    "spectral_measure_mismatch",
+    "SPECTRUM_GRID",
+]
 
 
 @dataclass(frozen=True)
@@ -170,6 +178,84 @@ def _check_kernel_rows() -> CheckResult:
         True,
         "kernel_row rows sum to 1 exactly, kernels symmetric; "
         f"kernel table equals kernel_row on {len(grid)} models",
+    )
+
+
+def reference_catalog(model: ModelSpec) -> list[tuple]:
+    """The catalog by its defining formulas: (label, dim, mult, eigenvalue) rows.
+
+    Binomials per dimension, the eig_* closed forms, and for signed
+    families the multiplicity counted split by split: slow (O(n^4) signed)
+    but independent of the walker behind catalog_entries and the spectral
+    measure.
+    """
+    n, r, family = model.n, model.r, model.family
+    if family is Family.CLASSICAL:
+        return [((i,), catalog.dim_two_row(n, i), 1, catalog.eig_classical(n, r, i)) for i in range(r + 1)]
+    if family is Family.VARIANT:
+        return [((i,), catalog.dim_two_row(n, i), 1, catalog.eig_variant(n, i)) for i in range(r + 1)]
+    rows = []
+    for j in range(n + 1):
+        for ell in range(j // 2 + 1):
+            mult_by_m: dict[int, int] = {}
+            for i in range(max(ell, r - (n - j)), min(r, j - ell) + 1):
+                for m in range(min(r - i, (n - j) - (r - i)) + 1):
+                    mult_by_m[m] = mult_by_m.get(m, 0) + 1
+            for m in sorted(mult_by_m):
+                if family is Family.INDEPENDENT_FLIPS:
+                    lam = catalog.eig_independent(n, j, ell)
+                else:
+                    lam = catalog.eig_paired(n, j, ell, m)
+                dim = comb(n, j) * catalog.dim_two_row(j, ell) * catalog.dim_two_row(n - j, m)
+                rows.append(((j, ell, m), dim, mult_by_m[m], lam))
+    return rows
+
+
+def spectral_measure_mismatch(model: ModelSpec, kmax: int) -> str | None:
+    """Compare the catalog and the spectral measure with reference_catalog.
+
+    The catalog must equal it row for row; the measure must hold its
+    nontrivial eigenvalues with their summed weights; and the float bound,
+    read from bound_curve, must lie within 1e-12 relative of the rational
+    spectral sum of the reference at every k = 0..kmax.
+    """
+    label = f"{model.family.value} ({model.n},{model.r})"
+    want = reference_catalog(model)
+    got = [(astuple(e.label), e.dim, e.mult, e.eigenvalue) for e in catalog.catalog_entries(model)]
+    if got != want:
+        return f"{label}: catalog differs from the reference formulas"
+    trivial = astuple(catalog.trivial_label(model))
+    grouped: dict[Fraction, int] = {}
+    for idx, dim, mult, lam in want:
+        if idx != trivial:
+            grouped[lam] = grouped.get(lam, 0) + dim * mult
+    measure = bounds.spectral_measure(model)
+    pairs = {Fraction(num, measure.den): w for num, w in zip(measure.nums, measure.weights)}
+    if pairs != grouped:
+        return f"{label}: spectral measure differs from the grouped reference"
+    for p in bounds.bound_curve(model, range(kmax + 1)):
+        exact_sum = sum(w * lam ** (2 * p.k) for lam, w in grouped.items()) / 4
+        if abs(p.l2n_sq - exact_sum) > 1e-12 * exact_sum:
+            return f"{label} k={p.k}: float bound {p.l2n_sq!r} vs exact {float(exact_sum)!r}"
+    return None
+
+
+def _check_spectral_measure(kmax: int = 30) -> CheckResult:
+    grid = [
+        ModelSpec(Family.CLASSICAL, 9, 4),
+        ModelSpec(Family.VARIANT, 10, 5),
+        ModelSpec(Family.INDEPENDENT_FLIPS, 8, 3),
+        ModelSpec(Family.PAIRED_FLIPS, 8, 4),
+    ]
+    for model in grid:
+        bad = spectral_measure_mismatch(model, kmax)
+        if bad:
+            return CheckResult("spectral-measure", False, bad)
+    return CheckResult(
+        "spectral-measure",
+        True,
+        f"catalog and measure equal the reference formulas on {len(grid)} models; "
+        f"float bound within 1e-12 of the rational sum, k <= {kmax}",
     )
 
 
@@ -386,6 +472,7 @@ def run_quick() -> VerifyReport:
             ],
             "spectrum-match",
         ),
+        _check_spectral_measure(),
     )
     return VerifyReport(results)
 

@@ -2,20 +2,23 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from urnmix import bounds, exact
+from urnmix import bounds, catalog, exact, verify
 from urnmix.bounds import (
+    bound_curve,
     crossover_f,
     l2n_sq_bound,
     leading_l2_term,
+    log_l2n_sq_bound,
     lower_bound,
     moment_s1,
-    moment_s2,
+    spectral_measure,
     spherical_s1,
     theorem_k,
     tv_upper,
@@ -178,6 +181,105 @@ def test_bound_handles_large_n_without_overflow():
     assert 0 < val < 10
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Family)), st.integers(2, 9), st.data())
+def test_float_bound_within_1e12_of_exact(family, n, data):
+    r = data.draw(st.integers(1, n // 2))
+    model = ModelSpec(family, n, r)
+    for p in bound_curve(model, range(61)):
+        want = l2n_sq_bound(model, p.k, exact=True)
+        assert abs(p.l2n_sq - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelSpec(Family.CLASSICAL, 3000, 1500),
+        ModelSpec(Family.VARIANT, 200, 100),
+        ModelSpec(Family.INDEPENDENT_FLIPS, 24, 12),
+        ModelSpec(Family.PAIRED_FLIPS, 24, 12),
+        ModelSpec(Family.VARIANT, 2, 1),
+    ],
+    ids=str,
+)
+def test_bound_curve_equals_single_bounds_bit_for_bit(model):
+    ks = list(range(0, 600, 7)) + [1, 2, 0]
+    for k, p in zip(ks, bound_curve(model, ks)):
+        assert p.k == k
+        assert p.l2n_sq == l2n_sq_bound(model, k)
+        assert p.tv_upper == tv_upper(model, k)
+
+
+def test_zero_eigenvalue_counts_only_at_k0():
+    # variant(2,1): the one nontrivial eigenvalue is 0
+    model = ModelSpec(Family.VARIANT, 2, 1)
+    assert l2n_sq_bound(model, 0) == 0.25
+    assert l2n_sq_bound(model, 1) == 0.0
+    assert log_l2n_sq_bound(model, 3) == -math.inf
+
+
+@pytest.mark.parametrize("family", [Family.CLASSICAL, Family.VARIANT])
+def test_float_bound_accurate_at_large_n(family):
+    # eigenvalues within 1/n^2 of 1 raised to powers near 10^4: log|lambda|
+    # must keep its digits (log1p), or the bound drifts by ~1e-12
+    model = ModelSpec(family, 3000, 1500)
+    ks = [9005, 12005] if family is Family.VARIANT else [4505, 9005]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for p in bound_curve(model, ks):
+            want = sum(
+                Decimal(e.weight) * (Decimal(e.eigenvalue.numerator) / e.eigenvalue.denominator) ** (2 * p.k)
+                for e in catalog.nontrivial_entries(model)
+            ) / 4
+            assert abs(Decimal(p.l2n_sq) / want - 1) < Decimal("1e-14")
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_spectral_measure_matches_reference(family):
+    for n in range(2, 11):
+        for r in range(1, n // 2 + 1):
+            model = ModelSpec(family, n, r)
+            assert verify.spectral_measure_mismatch(model, 20) is None
+            nums = spectral_measure(model).nums
+            assert list(nums) == sorted(nums, reverse=True)
+
+
+@pytest.mark.parametrize("n", [1100, 10000])
+def test_overflowing_bound_is_inf_with_finite_log(n):
+    # C(n, n/2)/4 at k = 0 is past the float range; it used to raise
+    model = ModelSpec(Family.VARIANT, n, n // 2)
+    assert l2n_sq_bound(model, 0) == math.inf
+    assert tv_upper(model, 0) == math.inf
+    assert bound_curve(model, [0])[0].l2n_sq == math.inf
+    log_b = log_l2n_sq_bound(model, 0)
+    assert math.isfinite(log_b)
+    assert math.isclose(log_b, math.log(exact.space_size(model) - 1) - math.log(4), rel_tol=1e-14)
+
+
+def test_log_bound_matches_log_of_exact_value():
+    model = ModelSpec(Family.VARIANT, 1100, 550)
+    for k in (0, 1, 3):
+        want = l2n_sq_bound(model, k, exact=True)
+        log_want = math.log(want.numerator) - math.log(want.denominator)
+        assert math.isclose(log_l2n_sq_bound(model, k), log_want, rel_tol=1e-13)
+    small = ModelSpec(Family.PAIRED_FLIPS, 6, 3)
+    for k in (0, 4, 40):
+        assert math.isclose(
+            log_l2n_sq_bound(small, k), math.log(l2n_sq_bound(small, k, exact=True)), rel_tol=1e-13
+        )
+        assert l2n_sq_bound(small, k) == math.exp(log_l2n_sq_bound(small, k))
+
+
+def test_float_bound_rejects_entries_and_negative_k():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    with pytest.raises(ValueError):
+        l2n_sq_bound(model, 2, entries=catalog.catalog_entries(model))
+    with pytest.raises(ValueError):
+        bound_curve(model, [3, -1])
+    with pytest.raises(ValueError):
+        l2n_sq_bound(model, -1)
+
+
 def test_leading_l2_term():
     model = ModelSpec(Family.VARIANT, 200, 100)
     assert math.isclose(leading_l2_term(model, 64), 199 * 0.99**128, rel_tol=1e-12)
@@ -208,7 +310,6 @@ def test_moments():
     assert moment_s1(4, 2) == 0.25
     assert moment_s1(7, 0) == 1.0
     assert math.isclose(moment_s1(10, 10), 0.8**10, rel_tol=1e-15)
-    assert moment_s2(10, 5) == moment_s1(10, 10)
 
 
 @pytest.mark.parametrize("n,r", [(4, 2), (6, 3), (6, 2), (8, 4)])

@@ -1,6 +1,7 @@
 """Component catalog: dimensions, multiplicities, eigenvalues."""
 
 import itertools
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from urnmix.catalog import (
     unsigned_catalog,
 )
 from urnmix.models import Family, ModelSpec
+from urnmix.verify import reference_catalog
 
 
 def test_binomial_values():
@@ -225,3 +227,33 @@ def test_catalog_sorted_and_weight_consistent(n, data):
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
     assert all(e.weight == e.dim * e.mult for e in entries)
+
+
+def _rows(model):
+    return [(astuple(e.label), e.dim, e.mult, e.eigenvalue) for e in catalog_entries(model)]
+
+
+@pytest.mark.parametrize("family", [Family.CLASSICAL, Family.VARIANT])
+def test_unsigned_catalog_equals_reference_formulas(family):
+    for n in range(2, 61):
+        for r in range(1, n // 2 + 1):
+            model = ModelSpec(family, n, r)
+            assert _rows(model) == reference_catalog(model), str(model)
+
+
+@pytest.mark.parametrize("family", [Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS])
+def test_signed_catalog_equals_reference_formulas(family):
+    # every r up to n = 16, then the two ends and the middle up to n = 30
+    for n in range(2, 31):
+        rs = range(1, n // 2 + 1) if n <= 16 else sorted({1, n // 4, n // 2})
+        for r in rs:
+            model = ModelSpec(family, n, r)
+            assert _rows(model) == reference_catalog(model), str(model)
+
+
+def test_catalog_large_unsigned_dims_from_recurrence():
+    # the recurrence must stay exact far past the float range
+    entries = unsigned_catalog(3000, 1500, Family.VARIANT)
+    assert entries[1].dim == 2999
+    assert entries[-1].dim == binomial(3000, 1500) - binomial(3000, 1499)
+    assert total_weight(entries) == binomial(3000, 1500)

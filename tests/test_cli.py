@@ -209,14 +209,46 @@ def test_verify_full_passes(capsys):
 
 def test_verify_catches_broken_eigenvalue(capsys, monkeypatch):
     from urnmix import catalog
+    from urnmix.models import Family
 
-    true_eig = catalog.eig_variant
+    true_components = catalog._components
 
-    def broken(n, i):
-        return true_eig(n, i) if i == 0 else Fraction(1, 3)
+    def broken(model):
+        # every nontrivial variant eigenvalue one unit of 1/n^2 too low
+        for label, dim, mult, num in true_components(model):
+            if model.family is Family.VARIANT and label != (0,):
+                num -= 1
+            yield label, dim, mult, num
 
-    monkeypatch.setattr(catalog, "eig_variant", broken)
+    monkeypatch.setattr(catalog, "_components", broken)
     code, out, err = run_cli(capsys, "verify", "--level", "quick")
     assert code == 1
     assert "spectrum" in err
     assert any(line.startswith("FAIL spectrum") for line in out.splitlines())
+    assert any(line.startswith("FAIL spectral-measure") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("n", [1100, 10000])
+def test_bounds_overflow_prints_inf(capsys, n):
+    # the k=0 bound C(n, n/2)/4 is past the float range: inf, exit 0
+    code, out, err = run_cli(
+        capsys, "bounds", "--family", "variant", "--n", str(n), "--r", str(n // 2), "--k", "0"
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert out.splitlines() == ["k,l2n_sq_bound,tv_upper_raw,tv_upper_clamped", "0,inf,inf,1"]
+
+
+def test_exact_float_bound_column_matches_bound_curve(capsys):
+    from urnmix import bounds
+    from urnmix.models import Family, ModelSpec
+
+    code, out, _ = run_cli(
+        capsys, "exact", "--family", "paired", "--n", "5", "--r", "2", "--k-grid", "0:12:3"
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    curve = bounds.bound_curve(ModelSpec(Family.PAIRED_FLIPS, 5, 2), range(0, 13, 3))
+    assert [int(row[0]) for row in rows] == [p.k for p in curve]
+    assert [float(row[3]) for row in rows] == [p.tv_upper for p in curve]
+    assert all(float(row[4]) < 1e-12 for row in rows)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from urnmix import exact
 from urnmix.bounds import l2n_sq_bound, tv_upper
+from urnmix.catalog import catalog_entries
 from urnmix.chains import SignedUrnState, UrnState, initial_state, kernel_row, step_units
 from urnmix.exact import (
     SpaceCapError,
@@ -196,6 +197,16 @@ def test_spectrum_signed_2_1_literal():
     assert np.allclose(indep, [1, 0.25, 0.25, 0.25, 0.25, 0, 0, 0], atol=1e-12)
     paired = spectrum(ModelSpec(Family.PAIRED_FLIPS, 2, 1))
     assert np.allclose(paired, [1, 0.5, 0.25, 0.25, 0.25, 0.25, 0, -0.5], atol=1e-12)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_expected_spectrum_repeats_catalog(family):
+    model = ModelSpec(family, 6, 3)
+    want = []
+    for e in catalog_entries(model):
+        want.extend([float(e.eigenvalue)] * e.weight)
+    got = expected_spectrum(model)
+    assert np.array_equal(got, np.sort(np.array(want))[::-1])
 
 
 def test_trace_identity():
