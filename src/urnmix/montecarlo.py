@@ -7,6 +7,12 @@ engine here and the scalar WalkerStream consume draws in the same order
 (see chains: fixed number of draws per step per family), and therefore
 produce bit-identical trajectories.
 
+The vectorized engine keeps each block of walkers as uint64 mask words,
+ceil(n/64) per walker for the rack and as many for the charges, so a step
+is a few elementwise word operations for any n.  Classical steps pick the
+i-th smallest ball of a rack by a popcount search over the words, as
+chains.step does by counting set bits.
+
 Summaries report the first spherical function s1 = 1 - j n/(r(n-r)) of each
 terminal state, j being the count of rack-1 balls with labels above r;
 for signed families s1 is evaluated on the rack marginal, ignoring charges.
@@ -19,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, sqrt
 
 import numpy as np
@@ -32,7 +37,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "WalkerStream",
-    "derive_stream",
     "run",
     "STREAM_MAGIC",
     "TV_SPACE_CAP",
@@ -68,12 +72,17 @@ _NC1, _NC2 = _U(_C1), _U(_C2)
 _S30, _S27, _S31, _S32 = _U(30), _U(27), _U(31), _U(32)
 
 
-def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> _S30)
-    x = x * _NC1
-    x = x ^ (x >> _S27)
-    x = x * _NC2
-    return x ^ (x >> _S31)
+def _mix_np(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer in place on x; tmp is scratch of x's shape."""
+    np.right_shift(x, _S30, out=tmp)
+    x ^= tmp
+    x *= _NC1
+    np.right_shift(x, _S27, out=tmp)
+    x ^= tmp
+    x *= _NC2
+    np.right_shift(x, _S31, out=tmp)
+    x ^= tmp
+    return x
 
 
 def _seed_hash(seed: int) -> int:
@@ -106,11 +115,6 @@ class WalkerStream:
         return ((h >> 32) * n) >> 32
 
 
-def derive_stream(seed: int, worker: int) -> WalkerStream:
-    """Independent reproducible stream for a worker (or walker) index."""
-    return WalkerStream(seed, worker)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """What to simulate: model, step count, walker count, seed."""
@@ -138,15 +142,145 @@ class SimSummary:
     elapsed_s: float
 
 
-def _draws(wh: np.ndarray, t: int, n: int) -> np.ndarray:
-    """Uniform [0, n) draws at counter t for every walker hash in wh."""
-    h = _mix_np(wh ^ _U((t * _C3 + _C4) & _M64))
-    return (((h >> _S32) * _U(n)) >> _S32).astype(np.int64)
+def _draws(wh: np.ndarray, t: int, n: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Uniform [0, n) draws at counter t for every walker hash in wh, into out.
+
+    out and tmp are uint64 arrays of wh's shape.  Nothing is allocated, so
+    the draws of every step reuse the same memory.
+    """
+    np.bitwise_xor(wh, _U((t * _C3 + _C4) & _M64), out=out)
+    _mix_np(out, tmp)
+    out >>= _S32
+    out *= _U(n)
+    out >>= _S32
+    return out
 
 
-def _pack_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    pows = np.left_shift(_U(1), np.arange(n, dtype=np.uint64))
-    return (mat.astype(np.uint64) * pows[None, :]).sum(axis=1, dtype=np.uint64)
+# Masks live in word-major uint64 arrays of shape (W, walkers), W = ceil(n/64),
+# word w holding balls 64w .. 64w+63.  Ball b is addressed in word w by the
+# shift b - 64w, wrapped to uint64: numpy gives 0 for any uint64 shift of 64
+# or more, so in every other word the shift lands on nothing and one
+# elementwise expression serves all W words.
+_ONE = _U(1)
+_HALVES = tuple((_U(width), _U((1 << width) - 1)) for width in (32, 16, 8, 4, 2, 1))
+
+
+def _words(mask: int, width: int) -> np.ndarray:
+    """An n-bit Python int as a (width, 1) column of uint64 words, low word first."""
+    return np.array([[(mask >> (64 * w)) & _M64] for w in range(width)], dtype=np.uint64)
+
+
+def _select(words: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Ball index of the idx-th (0-based) set bit of each column of words.
+
+    The leftover index is carried from word to word until it falls inside
+    one; that word is then halved six times, stepping into the upper half
+    whenever the lower half holds at most idx set bits.  idx is consumed.
+    """
+    x = words[0].copy()
+    pos = np.zeros_like(idx)
+    count = np.empty(idx.shape, dtype=np.uint8)
+    up = np.empty(idx.shape, dtype=bool)
+    shift = np.empty_like(idx)
+    for word in words[1:]:
+        np.bitwise_count(x, out=count)
+        np.greater_equal(idx, count, out=up)
+        np.copyto(x, word, where=up)
+        pos += up * _U(64)
+        idx -= count * up
+    for width, low in _HALVES:
+        np.bitwise_and(x, low, out=shift)
+        np.bitwise_count(shift, out=count)
+        np.greater_equal(idx, count, out=up)
+        np.multiply(up, width, out=shift)
+        x >>= shift
+        pos += shift
+        count *= up
+        idx -= count
+    return pos
+
+
+def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int):
+    """Walk walkers lo .. hi-1 for k steps; return their rack and charge words.
+
+    Both are (ceil(n/64), hi - lo) uint64 arrays; the charge words are None
+    for unsigned families.  Draws are taken in the order chains.step takes
+    them from a WalkerStream, so each column is that walker's scalar replay.
+    """
+    n, r, family = model.n, model.r, model.family
+    width, nb = -(-n // 64), hi - lo
+    tmp = np.empty(nb, dtype=np.uint64)
+    wh = _mix_np(_U(_seed_hash(seed)) ^ (np.arange(lo, hi, dtype=np.uint64) * _NC1 + _NC2), tmp)
+    rack = np.repeat(_words((1 << r) - 1, width), nb, axis=1)
+    signs = np.zeros_like(rack) if family.signed else None
+    offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
+    balls = _words((1 << n) - 1, width)
+    slots = STREAM_DRAWS_PER_STEP[family]
+    # per-step scratch, reused so the loop does not allocate
+    draw = np.empty((slots, nb), dtype=np.uint64)
+    sh1, sh2, cross, spare = np.empty((4, width, nb), dtype=np.uint64)
+    flip = np.empty(nb, dtype=np.uint64)
+
+    for step_no in range(k):
+        base = step_no * slots
+        if family is Family.CLASSICAL:
+            np.subtract(_select(rack, _draws(wh, base, r, draw[0], tmp)), offsets, out=sh1)
+            np.invert(rack, out=spare)
+            spare &= balls
+            np.subtract(_select(spare, _draws(wh, base + 1, n - r, draw[1], tmp)), offsets, out=sh2)
+            np.left_shift(_ONE, sh1, out=spare)
+            rack ^= spare
+            np.left_shift(_ONE, sh2, out=spare)
+            rack ^= spare
+            continue
+        b1 = _draws(wh, base, n, draw[0], tmp)
+        b2 = _draws(wh, base + 1, n, draw[1], tmp)
+        np.subtract(b1, offsets, out=sh1)
+        np.subtract(b2, offsets, out=sh2)
+        np.right_shift(rack, sh1, out=cross)
+        np.right_shift(rack, sh2, out=spare)
+        cross ^= spare
+        cross &= _ONE
+        np.bitwise_xor.reduce(cross, axis=0, out=flip)
+        np.left_shift(flip, sh1, out=spare)
+        rack ^= spare
+        np.left_shift(flip, sh2, out=spare)
+        rack ^= spare
+        if family is Family.VARIANT:
+            continue
+        c1 = _draws(wh, base + 2, 2, draw[2], tmp)
+        np.left_shift(c1, sh1, out=spare)
+        signs ^= spare
+        if family is Family.INDEPENDENT_FLIPS:
+            c2 = _draws(wh, base + 3, 2, draw[3], tmp)
+        else:
+            c2 = c1
+        # a ball drawn twice is flipped by the first coin alone
+        np.not_equal(b1, b2, out=tmp)
+        tmp &= c2
+        np.left_shift(tmp, sh2, out=spare)
+        signs ^= spare
+    return rack, signs
+
+
+def _colex_rank(rack: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Colex rank sum_t C(c_t, t) of each column's set bits c_1 < c_2 < ...
+
+    binom[t, c] holds C(c, t); set bits are peeled lowest first, word by word.
+    """
+    rank = np.zeros(rack.shape[1], dtype=np.int64)
+    t = np.zeros(rack.shape[1], dtype=np.intp)
+    for w, word in enumerate(rack):
+        x = word.copy()
+        while x.any():
+            low = x & (~x + _ONE)
+            found = x != 0
+            t += found
+            pos = np.bitwise_count(low - _ONE).astype(np.intp) + 64 * w
+            # an emptied word has low = 0, pos = 64w + 64 and adds nothing
+            rank += binom[t, np.minimum(pos, binom.shape[1] - 1)] * found
+            x ^= low
+    return rank
 
 
 def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSummary:
@@ -159,9 +293,7 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     t0 = time.perf_counter()
     model, k, total, seed = config.model, config.k, config.walkers, config.seed
     n, r = model.n, model.r
-    family = model.family
-    signed = family.signed
-    slots = STREAM_DRAWS_PER_STEP[family]
+    signed = model.family.signed
     if states_path is not None and n > 64:
         raise ValueError("state streaming packs masks into 64 bits, needs n <= 64")
 
@@ -169,12 +301,12 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     do_tv = n_states <= TV_SPACE_CAP and total >= TV_WALKER_FACTOR * n_states
     counts = np.zeros(n_states, dtype=np.int64) if do_tv else None
     if do_tv:
-        sub_masks = np.array(
-            sorted(sum(1 << b for b in c) for c in combinations(range(n), r)),
-            dtype=np.int64,
+        # C(c, t) for c < n and t <= r is below C(n, r) <= n_states
+        binom = np.array(
+            [[comb(c, t) for c in range(n)] for t in range(r + 1)], dtype=np.int64
         )
+    high = _words(((1 << n) - 1) ^ ((1 << r) - 1), -(-n // 64))
 
-    seed_h = _U(_seed_hash(seed))
     s1_all = np.empty(total)
     out = open(states_path, "wb") if states_path is not None else None
     if out is not None:
@@ -182,66 +314,21 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     try:
         for lo in range(0, total, block_size):
             hi = min(lo + block_size, total)
-            ids = np.arange(lo, hi, dtype=np.uint64)
-            wh = _mix_np(seed_h ^ (ids * _NC1 + _NC2))
-            nb = hi - lo
-            rows = np.arange(nb)
-            rack = np.zeros((nb, n), dtype=bool)
-            rack[:, :r] = True
-            signs = np.zeros((nb, n), dtype=bool) if signed else None
-
-            for step_no in range(k):
-                base = step_no * slots
-                if family is Family.CLASSICAL:
-                    i1 = _draws(wh, base, r)
-                    i2 = _draws(wh, base + 1, n - r)
-                    csum = rack.cumsum(axis=1)
-                    pos1 = np.argmax((csum == (i1 + 1)[:, None]) & rack, axis=1)
-                    csum = (~rack).cumsum(axis=1)
-                    pos2 = np.argmax((csum == (i2 + 1)[:, None]) & ~rack, axis=1)
-                    rack[rows, pos1] = False
-                    rack[rows, pos2] = True
-                    continue
-                b1 = _draws(wh, base, n)
-                b2 = _draws(wh, base + 1, n)
-                r1 = rack[rows, b1]
-                r2 = rack[rows, b2]
-                cross = r1 != r2
-                rc = rows[cross]
-                rack[rc, b1[cross]] = r2[cross]
-                rack[rc, b2[cross]] = r1[cross]
-                if family is Family.VARIANT:
-                    continue
-                neq = b1 != b2
-                rn = rows[neq]
-                if family is Family.INDEPENDENT_FLIPS:
-                    c1 = _draws(wh, base + 2, 2).astype(bool)
-                    c2 = _draws(wh, base + 3, 2).astype(bool)
-                    signs[rows, b1] ^= c1
-                    signs[rn, b2[neq]] ^= c2[neq]
-                else:
-                    c = _draws(wh, base + 2, 2).astype(bool)
-                    signs[rows, b1] ^= c
-                    signs[rn, b2[neq]] ^= c[neq]
-
-            stray = rack[:, r:].sum(axis=1)
+            rack, signs = _walk(model, k, seed, lo, hi)
+            stray = np.bitwise_count(rack & high).sum(axis=0)
             s1_all[lo:hi] = 1.0 - stray * (n / (r * (n - r)))
 
-            if do_tv or out is not None:
-                packed_sub = _pack_bits(rack, n)
             if do_tv:
-                ranks = np.searchsorted(sub_masks, packed_sub.astype(np.int64))
+                idx = _colex_rank(rack, binom)
                 if signed:
-                    sval = _pack_bits(signs, n).astype(np.int64)
-                    idx = sval * comb(n, r) + ranks
-                else:
-                    idx = ranks
+                    # a signed space within TV_SPACE_CAP has n < 17: one word
+                    idx += signs[0].astype(np.int64) * comb(n, r)
                 counts += np.bincount(idx, minlength=n_states)
             if out is not None:
-                rec = np.zeros((nb, 2), dtype="<u8")
+                rec = np.zeros((hi - lo, 2), dtype="<u8")
                 if signed:
-                    rec[:, 0] = _pack_bits(signs, n)
-                rec[:, 1] = packed_sub
+                    rec[:, 0] = signs[0]
+                rec[:, 1] = rack[0]
                 out.write(rec.tobytes())
     finally:
         if out is not None:

@@ -26,6 +26,7 @@ __all__ = [
     "run_full",
     "reference_catalog",
     "spectral_measure_mismatch",
+    "montecarlo_replay_mismatch",
     "SPECTRUM_GRID",
 ]
 
@@ -259,6 +260,49 @@ def _check_spectral_measure(kmax: int = 30) -> CheckResult:
     )
 
 
+def _mask_of(column) -> int:
+    """A column of uint64 mask words, low word first, as one Python int."""
+    return sum(int(word) << (64 * w) for w, word in enumerate(column))
+
+
+def montecarlo_replay_mismatch(
+    model: ModelSpec, k: int, seed: int, lo: int, hi: int
+) -> str | None:
+    """Compare the packed Monte Carlo walk with scalar chains.step replay.
+
+    Walkers lo .. hi-1 are walked as one block; each walker's rack and
+    charge words, read back as masks, must equal the state chains.step
+    reaches from the same WalkerStream.
+    """
+    rack, signs = montecarlo._walk(model, k, seed, lo, hi)
+    for j in range(hi - lo):
+        state = chains.initial_state(model)
+        stream = montecarlo.WalkerStream(seed, lo + j)
+        for _ in range(k):
+            state = chains.step(model, state, stream)
+        got = (_mask_of(rack[:, j]), 0 if signs is None else _mask_of(signs[:, j]))
+        if got != (state.rack1, getattr(state, "signs", 0)):
+            return (
+                f"{model.family.value} ({model.n},{model.r}) k={k} walker {lo + j}: "
+                "packed words differ from scalar replay"
+            )
+    return None
+
+
+def _check_montecarlo_replay(k: int = 16) -> CheckResult:
+    grid = [ModelSpec(family, n, r) for family in Family for n, r in ((9, 4), (130, 61))]
+    for model in grid:
+        bad = montecarlo_replay_mismatch(model, k, seed=20240817, lo=5, hi=8)
+        if bad:
+            return CheckResult("montecarlo-replay", False, bad)
+    return CheckResult(
+        "montecarlo-replay",
+        True,
+        f"walkers 5-7 equal scalar replay for k={k} on {len(grid)} models "
+        "(one and three mask words)",
+    )
+
+
 def _spectrum_mismatch(model: ModelSpec, tol: float = 1e-8):
     got = exact.spectrum(model)
     want = exact.expected_spectrum(model)
@@ -457,7 +501,7 @@ def _check_cutoff_window() -> CheckResult:
 
 
 def run_quick() -> VerifyReport:
-    """Structural checks: exact identities, kernel sanity, small spectra."""
+    """Structural checks: exact identities, kernel sanity, small spectra, walker replay."""
     results = (
         _check_dimension_identity_unsigned(),
         _check_dimension_identity_signed(),
@@ -473,6 +517,7 @@ def run_quick() -> VerifyReport:
             "spectrum-match",
         ),
         _check_spectral_measure(),
+        _check_montecarlo_replay(),
     )
     return VerifyReport(results)
 

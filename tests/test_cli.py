@@ -1,7 +1,11 @@
 """End-to-end command line behavior: formats, manifests, exit codes."""
 
 import json
+import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +168,26 @@ def test_simulate_reproducible_checksum(tmp_path, capsys):
     m1, m2 = json.loads(err1), json.loads(err2)
     assert m1["output_sha256"] == m2["output_sha256"]
     assert m1["seed"] == 31
+
+
+def test_simulate_tv_past_64_balls(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--family", "variant", "--n", "70", "--r", "1",
+        "--k", "3", "--walkers", "3500",
+    )
+    assert code == 0
+    assert "Traceback" not in err
+    assert math.isfinite(json.loads(out)["empirical_tv"])
+
+
+def test_import_leaves_verify_unloaded():
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, urnmix.cli; print('urnmix.verify' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_simulate_seed_env_fallback(capsys, monkeypatch):

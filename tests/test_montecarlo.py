@@ -5,17 +5,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from urnmix import exact, montecarlo
-from urnmix.chains import initial_state, step
+from urnmix.chains import _nth_bit, initial_state, step
 from urnmix.models import Family, ModelSpec
 from urnmix.montecarlo import (
     STREAM_MAGIC,
     SimConfig,
     WalkerStream,
-    derive_stream,
     run,
 )
+from urnmix.verify import montecarlo_replay_mismatch
 
 
 def test_walker_stream_reproducible():
@@ -30,7 +32,6 @@ def test_walker_streams_are_separated():
     c = [WalkerStream(124, 0).integers(10) for _ in range(200)]
     assert a != b
     assert a != c
-    assert derive_stream(5, 3).integers(9) == WalkerStream(5, 3).integers(9)
 
 
 def test_walker_stream_range_and_balance():
@@ -141,6 +142,15 @@ def test_empirical_tv_close_to_exact():
     assert abs(s.empirical_tv - tv) <= s.tv_bias_ceiling + 0.01
 
 
+def test_empirical_tv_past_64_balls():
+    # two mask words: the histogram index is the colex rank, not an int64 mask
+    model = ModelSpec(Family.VARIANT, 70, 1)
+    s = run(SimConfig(model, 3, 3500, 0))
+    assert s.empirical_tv is not None
+    tv = float(exact.tv_distance(exact.evolve(model, 3)))
+    assert abs(s.empirical_tv - tv) <= s.tv_bias_ceiling
+
+
 def test_tv_suppressed_when_walkers_scarce():
     s = run(SimConfig(ModelSpec(Family.VARIANT, 10, 5), 3, 500, 1))
     assert s.empirical_tv is None
@@ -155,3 +165,52 @@ def test_bias_ceiling_formula():
     walkers = 50 * size
     s = run(SimConfig(model, 2, walkers, 3))
     assert s.tv_bias_ceiling == pytest.approx(0.5 * math.sqrt(size / walkers))
+
+
+def test_numpy_shift_of_64_or_more_gives_zero():
+    # the packed engine addresses ball b in word w by the shift b - 64w,
+    # wrapped to uint64, and relies on every other word receiving nothing
+    x = np.array([1, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+    for s in (64, 65, 127, 1 << 63, (1 << 64) - 1):
+        shift = np.full(x.shape, s, dtype=np.uint64)
+        assert not (x >> shift).any()
+        assert not (x << shift).any()
+    wrapped = np.array([3], dtype=np.uint64) - np.array([64], dtype=np.uint64)
+    assert not (x >> wrapped).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_select_matches_nth_bit(data):
+    width = data.draw(st.integers(1, 3))
+    masks = data.draw(st.lists(st.integers(1, (1 << (64 * width)) - 1), min_size=1, max_size=8))
+    idx = [data.draw(st.integers(0, m.bit_count() - 1)) for m in masks]
+    words = np.array(
+        [[(m >> (64 * w)) & ((1 << 64) - 1) for m in masks] for w in range(width)],
+        dtype=np.uint64,
+    )
+    got = montecarlo._select(words, np.array(idx, dtype=np.uint64))
+    assert got.tolist() == [_nth_bit(m, i) for m, i in zip(masks, idx)]
+
+
+WORD_EDGES = [63, 64, 65, 127, 128, 129]
+
+
+@st.composite
+def models(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.one_of(st.sampled_from(WORD_EDGES), st.integers(2, 140)))
+    return ModelSpec(family, n, draw(st.integers(1, n // 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.integers(0, 30), st.integers(0, 10**6), st.integers(1, 12))
+@example(ModelSpec(Family.CLASSICAL, 63, 31), 30, 0, 5)
+@example(ModelSpec(Family.VARIANT, 64, 32), 30, 7, 5)
+@example(ModelSpec(Family.INDEPENDENT_FLIPS, 65, 9), 30, 0, 5)
+@example(ModelSpec(Family.PAIRED_FLIPS, 127, 63), 30, 3, 5)
+@example(ModelSpec(Family.CLASSICAL, 128, 64), 30, 0, 5)
+@example(ModelSpec(Family.VARIANT, 129, 1), 30, 11, 5)
+def test_packed_walk_matches_scalar_replay(model, k, lo, block):
+    """Every walker of a block, at any n, equals its chains.step replay."""
+    assert montecarlo_replay_mismatch(model, k, seed=lo ^ 0x5EED, lo=lo, hi=lo + block) is None
