@@ -1,201 +1,68 @@
 """Acceptance suite: one test per release criterion.
 
-Each test prints a single summary line (visible with pytest -rA or -s) and
-asserts the criterion at its stated tolerance.  Criterion 6 checks the
-bounds at two fixed offset steps against frozen goldens, then checks that
-the window where the bound curves cross their thresholds is narrow: the
-step where the spectral tv bound drops below 0.2 is less than 1.6 times
-the last step where the leading l2 term exceeds 1, and the two crossings
-bracket n log n / 4.
+Each criterion is a check of urnmix.verify, the same check that
+`urnmix verify --level full` runs; its grids, tolerances and rational
+curves are defined there.  Each test prints the check's PASS/FAIL line
+(visible with pytest -rA or -s) and asserts it.  Only two assertions are
+not checks of the library: criterion 1's time limit and criterion 8's
+thread-count loop through the CLI.  The tests after the criteria show
+that the checks catch a mutation of what they guard.
 """
 
-import hashlib
 import json
-import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from urnmix import bounds, catalog, cli, exact, montecarlo
-from urnmix.models import Family, ModelSpec
-
-SPECTRUM_GRID = [
-    ModelSpec(Family.CLASSICAL, 4, 2),
-    ModelSpec(Family.CLASSICAL, 5, 2),
-    ModelSpec(Family.CLASSICAL, 6, 3),
-    ModelSpec(Family.VARIANT, 4, 2),
-    ModelSpec(Family.VARIANT, 5, 2),
-    ModelSpec(Family.VARIANT, 6, 3),
-    ModelSpec(Family.INDEPENDENT_FLIPS, 2, 1),
-    ModelSpec(Family.INDEPENDENT_FLIPS, 3, 1),
-    ModelSpec(Family.INDEPENDENT_FLIPS, 4, 2),
-    ModelSpec(Family.PAIRED_FLIPS, 2, 1),
-    ModelSpec(Family.PAIRED_FLIPS, 3, 1),
-    ModelSpec(Family.PAIRED_FLIPS, 4, 2),
-]
-
-PLANCHEREL_GRID = SPECTRUM_GRID + [
-    ModelSpec(Family.VARIANT, 12, 6),
-    ModelSpec(Family.INDEPENDENT_FLIPS, 6, 3),
-]
+from urnmix import bounds, cli, exact, montecarlo, verify
 
 
-def report(num, ok, detail):
-    print(f"criterion {num}: {'PASS' if ok else 'FAIL'} ({detail})")
+def report(num, result):
+    print(f"criterion {num}: {result.line()}")
+    assert result.ok, result.detail
 
 
 def test_criterion_1_dimension_identities():
     t0 = time.perf_counter()
-    for n in range(2, 15):
-        for r in range(1, n // 2 + 1):
-            entries = catalog.unsigned_catalog(n, r, Family.VARIANT)
-            assert catalog.total_weight(entries) == catalog.binomial(n, r)
-    for n in range(2, 11):
-        for r in range(1, n // 2 + 1):
-            for family in (Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS):
-                entries = catalog.signed_catalog(n, r, family)
-                assert catalog.total_weight(entries) == 2**n * catalog.binomial(n, r)
+    result = verify.dimension_identities()
     elapsed = time.perf_counter() - t0
-    report(1, True, f"all exact, {elapsed:.2f}s")
+    report(1, result)
     assert elapsed < 1.0
 
 
 def test_criterion_2_spectrum_equality():
-    worst = 0.0
-    for model in SPECTRUM_GRID:
-        got = exact.spectrum(model)
-        want = sorted((float(x) for x in exact.expected_spectrum(model)), reverse=True)
-        assert len(got) == len(want)
-        worst = max(worst, float(np.max(np.abs(np.asarray(got) - np.asarray(want)))))
-    report(2, worst < 1e-8, f"12 models, worst elementwise gap {worst:.2e}")
-    assert worst < 1e-8
+    report(2, verify.spectrum_match_grid())
 
 
-def test_criterion_3_plancherel_equality():
-    # rational mode: the identity holds as exact fraction arithmetic at
-    # every grid point, which subsumes the stated relative tolerance
-    for model in PLANCHEREL_GRID:
-        entries = catalog.catalog_entries(model)
-        for k, dist in exact.evolve_sequence(model, range(1, 21), exact=True):
-            lhs = exact.l2n_sq_distance(dist)
-            rhs = bounds.l2n_sq_bound(model, k, exact=True, entries=entries)
-            assert lhs == rhs, (model, k)
-    # float mode tracks the identity to 1e-9 whenever the value itself is
-    # above double-precision noise (tiny distances lose relative accuracy
-    # to representation error, not to any defect of the identity)
-    worst = 0.0
-    for model in PLANCHEREL_GRID:
-        entries = catalog.catalog_entries(model)
-        for k, dist in exact.evolve_sequence(model, range(1, 21)):
-            lhs = exact.l2n_sq_distance(dist)
-            rhs = float(bounds.l2n_sq_bound(model, k, exact=True, entries=entries))
-            assert abs(lhs - rhs) < 1e-12
-            if rhs >= 1e-12:
-                rel = abs(lhs - rhs) / rhs
-                worst = max(worst, rel)
-                assert rel <= 1e-9, (model, k)
-    report(3, True, f"exact equality on 14 models x 20 steps; float rel {worst:.2e}")
+@pytest.fixture(scope="module")
+def plancherel():
+    # criteria 3 and 4 are one check, so each rational curve is built once
+    return verify.plancherel()
 
 
-def test_criterion_4_upper_bound_lemma():
-    checked = 0
-    for model in PLANCHEREL_GRID:
-        entries = catalog.catalog_entries(model)
-        for k, dist in exact.evolve_sequence(model, range(1, 21), exact=True):
-            tv = exact.tv_distance(dist)
-            bound_sq = bounds.l2n_sq_bound(model, k, exact=True, entries=entries)
-            assert tv * tv <= bound_sq, (model, k)
-            checked += 1
-    report(4, True, f"tv <= tv_upper at all {checked} grid points, exact arithmetic")
+def test_criterion_3_plancherel_equality(plancherel):
+    report(3, plancherel)
+
+
+def test_criterion_4_upper_bound_lemma(plancherel):
+    report(4, plancherel)
 
 
 def test_criterion_5_moment_identities():
-    worst_mean, worst_var = 0.0, 0.0
-    for n in (6, 8, 10):
-        r = n // 2
-        model = ModelSpec(Family.VARIANT, n, r)
-        states = exact.enumerate_states(model)
-        s1 = np.array([float(bounds.spherical_s1(n, r, s)) for s in states])
-        f = math.sqrt(n - 1) * s1
-        for k, dist in exact.evolve_sequence(model, range(1, 16)):
-            p = np.asarray(dist.probs)
-            mean = float(p @ s1)
-            worst_mean = max(worst_mean, abs(mean - bounds.moment_s1(n, k)))
-            ef, ef2 = float(p @ f), float(p @ (f * f))
-            ratio = (ef2 - ef * ef) / ef**2
-            worst_var = max(
-                worst_var,
-                abs(bounds.variance_ratio(n, r, k) - ratio) / abs(ratio) if ratio else 0.0,
-            )
-    report(5, worst_mean < 1e-10 and worst_var < 1e-8,
-           f"mean gap {worst_mean:.2e}, variance ratio rel gap {worst_var:.2e}")
-    assert worst_mean < 1e-10
-    assert worst_var < 1e-8
+    report(5, verify.moment_identities())
 
 
 def test_criterion_6_cutoff_demonstration():
-    n = 200
-    model = ModelSpec(Family.VARIANT, n, 100)
-    k_up = math.ceil(0.25 * n * (math.log(n) + 4))
-    k_down = math.floor(0.25 * n * (math.log(n) - 4))
-    up = bounds.tv_upper(model, k_up)
-    proxy = bounds.leading_l2_term(model, k_down)
-    # frozen goldens from the first verified run
-    assert k_up == 465 and k_down == 64
-    assert up == pytest.approx(0.06616679589092031, rel=1e-12)
-    assert proxy == pytest.approx(54.97408187214245, rel=1e-12)
-    ok_up = up < 0.2
-    ok_down = proxy > 1
-    assert ok_up
-    assert ok_down
-
-    # the window is where the bound curves cross their thresholds inside
-    # [k_down, k_up]: the first step certified mixed (tv_upper < 0.2) and
-    # the last step certified unmixed (leading l2 term > 1); k_up/k_down
-    # itself is (log n + 4)/(log n - 4), a property of n and not of the chain
-    ks = range(k_down, k_up + 1)
-    k_cross_up = next(p.k for p in bounds.bound_curve(model, ks) if p.tv_upper < 0.2)
-    k_cross_down = max(k for k in ks if bounds.leading_l2_term(model, k) > 1)
-    ratio = k_cross_up / k_cross_down
-    centre = n * math.log(n) / 4
-    ok_ratio = ratio < 1.6
-    ok_centre = k_cross_down <= centre <= k_cross_up
-    report(6, ok_up and ok_down and ok_ratio and ok_centre,
-           f"tv_upper({k_up})={up:.4f} {'<' if ok_up else '>='} 0.2; "
-           f"proxy({k_down})={proxy:.1f} {'>' if ok_down else '<='} 1; "
-           f"crossings {k_cross_down}..{k_cross_up} around {centre:.1f}, "
-           f"ratio {ratio:.3f} {'<' if ok_ratio else '>='} 1.6")
-    assert ok_ratio, f"k_cross_up/k_cross_down = {ratio} is not < 1.6"
-    assert ok_centre, (k_cross_down, centre, k_cross_up)
-
-    # confirm each crossing off the float path: the rational l2 sum
-    # straddles 1/25 (tv bound 1/5) at the upper crossing, and the leading
-    # term (n-1)(1-2/n)^(2k) > 1 solves to a closed form at the lower one
-    assert bounds.l2n_sq_bound(model, k_cross_up - 1, exact=True) >= Fraction(1, 25)
-    assert bounds.l2n_sq_bound(model, k_cross_up, exact=True) < Fraction(1, 25)
-    assert k_cross_down == math.floor(math.log(n - 1) / (-2 * math.log(1 - 2 / n)))
+    report(6, verify.cutoff_window())
 
 
 def test_criterion_7_montecarlo_consistency():
-    model = ModelSpec(Family.VARIANT, 100, 50)
-    k = 115
-    summary = montecarlo.run(montecarlo.SimConfig(model, k, 10**5, 20240817))
-    want = bounds.moment_s1(100, k)
-    gap_se = abs(summary.mean_s1 - want) / summary.stderr_s1
-    assert gap_se < 4.0
-
-    small = ModelSpec(Family.VARIANT, 10, 5)
-    sim = montecarlo.run(montecarlo.SimConfig(small, 3, 10**6, 20240817))
-    tv = float(exact.tv_distance(exact.evolve(small, 3)))
-    gap_tv = abs(sim.empirical_tv - tv)
-    report(7, gap_se < 4 and gap_tv < 0.01,
-           f"mean within {gap_se:.2f} stderr; tv gap {gap_tv:.4f}")
-    assert gap_tv < 0.01
+    report(7, verify.montecarlo_consistency())
 
 
-def test_criterion_8_determinism(tmp_path, capsys):
+def test_criterion_8_determinism(capsys):
     args = [
         "simulate", "--family", "paired", "--n", "50", "--r", "25",
         "--k", "40", "--walkers", "20000", "--seed", "424242",
@@ -207,28 +74,64 @@ def test_criterion_8_determinism(tmp_path, capsys):
         assert code == 0
         sums.add(json.loads(captured.err)["output_sha256"])
     assert len(sums) == 1
-
-    # evolution reruns: float path bitwise here (well inside 1e-13),
-    # rational path exactly
-    model = ModelSpec(Family.INDEPENDENT_FLIPS, 5, 2)
-    a, b = exact.evolve(model, 9), exact.evolve(model, 9)
-    assert np.array_equal(np.asarray(a.probs), np.asarray(b.probs))
-    ra, rb = exact.evolve(model, 9, exact=True), exact.evolve(model, 9, exact=True)
-    assert list(ra.probs) == list(rb.probs)
-    report(8, True, "identical checksums for 1/4/8 threads; reruns bitwise equal")
+    report(8, verify.determinism())
 
 
 def test_criterion_9_signed_marginal():
-    plain = ModelSpec(Family.VARIANT, 6, 3)
-    worst = 0.0
-    for family in (Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS):
-        signed = ModelSpec(family, 6, 3)
-        for (k, sd), (_, pd) in zip(
-            exact.evolve_sequence(signed, range(0, 11)),
-            exact.evolve_sequence(plain, range(0, 11)),
-        ):
-            marg = exact.subset_marginal(sd)
-            gap = float(np.max(np.abs(np.asarray(marg.probs) - np.asarray(pd.probs))))
-            worst = max(worst, gap)
-    report(9, worst <= 1e-12, f"both signed families, k <= 10, worst gap {worst:.2e}")
-    assert worst <= 1e-12
+    report(9, verify.signed_marginal())
+
+
+def test_cutoff_window_catches_shifted_bound_curve(monkeypatch):
+    # the curve at k reports the bound at k - 40: the tv crossing moves to
+    # 399, still inside the ratio and centre clauses, so the rational
+    # confirmation has to catch it
+    true_curve = bounds.bound_curve
+
+    def shifted(model, ks):
+        ks = list(ks)
+        return [replace(p, k=k) for k, p in zip(ks, true_curve(model, [k - 40 for k in ks]))]
+
+    monkeypatch.setattr(bounds, "bound_curve", shifted)
+    result = verify.cutoff_window()
+    assert not result.ok
+    assert "1/25" in result.detail
+
+
+def test_plancherel_catches_one_unit_off(monkeypatch):
+    true_bound = bounds.l2n_sq_bound
+
+    def off(model, k, exact=False, entries=None):
+        value = true_bound(model, k, exact=exact, entries=entries)
+        return value + Fraction(1, value.denominator) if exact and k == 7 else value
+
+    monkeypatch.setattr(bounds, "l2n_sq_bound", off)
+    result = verify.plancherel()
+    assert not result.ok
+    assert "k=7: exact l2 distance != spectral sum" in result.detail
+
+
+def test_signed_marginal_catches_perturbed_marginal(monkeypatch):
+    true_marginal = exact.subset_marginal
+
+    def perturbed(dist):
+        marg = true_marginal(dist)
+        marg.probs[0] += 1e-9
+        return marg
+
+    monkeypatch.setattr(exact, "subset_marginal", perturbed)
+    result = verify.signed_marginal()
+    assert not result.ok
+    assert "marginal off by 1e-09" in result.detail
+
+
+@pytest.mark.parametrize("mean_off, tv", [(True, 0.0), (False, 1.0)])
+def test_montecarlo_failure_keeps_the_check_name(monkeypatch, mean_off, tv):
+    # one bad summary for both runs: either the moment clause or the tv
+    # clause fails, and both report the name the PASS line uses
+    mean = bounds.moment_s1(100, 115) + (1.0 if mean_off else 0.0)
+    bad = montecarlo.SimSummary(mean, 1e-3, tv, None, 0.0)
+    monkeypatch.setattr(montecarlo, "run", lambda config, **kwargs: bad)
+    result = verify.montecarlo_consistency()
+    line = verify.VerifyReport((result,)).lines()[0]
+    assert line.startswith("FAIL montecarlo-consistency: ")
+    assert ("stderr" if mean_off else "empirical tv") in line

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from urnmix import cli
+from urnmix import cli, verify
 
 
 def run_cli(capsys, *argv):
@@ -216,19 +216,22 @@ def test_output_flag_writes_file_and_manifest(tmp_path, capsys):
     assert len(manifest["output_sha256"]) == 64
 
 
-def test_verify_quick_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--level", "quick")
+def _verify_line_heads(capsys, level):
+    code, out, _ = run_cli(capsys, "verify", "--level", level)
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines and all(line.startswith("PASS") for line in lines)
+    return [line.split(":", 1)[0] for line in out.splitlines()]
+
+
+def test_verify_quick_passes(capsys):
+    heads = _verify_line_heads(capsys, "quick")
+    assert heads == [f"PASS {check.name}" for check in verify.QUICK]
 
 
 def test_verify_full_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--level", "full")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) > 8
-    assert all(line.startswith("PASS") for line in lines)
+    # exactly one PASS line per catalogue check, in catalogue order
+    heads = _verify_line_heads(capsys, "full")
+    assert heads == [f"PASS {check.name}" for check in verify.FULL]
+    assert len(set(heads)) == len(heads)
 
 
 def test_verify_catches_broken_eigenvalue(capsys, monkeypatch):
