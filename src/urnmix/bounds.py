@@ -12,8 +12,9 @@ nontrivial spectrum grouped by distinct eigenvalue, with the exact integer
 weight of each and both logs precomputed, so a sweep over many k is one
 vectorized logsumexp.  Big dimensions (n in the thousands) stay finite in
 log space; a bound that itself exceeds the float range comes out as inf,
-and log_l2n_sq_bound gives its finite log.  The exact mode keeps everything
-rational for cross-checks at small n.
+and log_l2n_sq_bound gives its finite log.  The exact mode sums integer
+numerators over one common denominator and returns one Fraction, for
+cross-checks and rational curves.
 """
 
 from __future__ import annotations
@@ -100,13 +101,54 @@ def _log_abs(num: int, den: int) -> float:
     return math.log(a / den) if a else -math.inf
 
 
-def spectral_measure(model: ModelSpec) -> SpectralMeasure:
-    """Group the catalog walker's components by eigenvalue, summing exact weights."""
-    trivial = astuple(catalog.trivial_label(model))
+def _independent_weights(n: int, r: int) -> dict[int, int]:
+    """Independent-flips weights by eigenvalue numerator, in closed form.
+
+    The eigenvalue depends on (j, ell) alone, and summing the walker's
+    dim[n-j-m, m] * mult over m collapses, through
+    sum_{m <= t} dim[s-m, m] = C(s, t), to
+
+        C(n, j) * dim[j-ell, ell] * sum_{i = ilo..ihi} C(n-j, r-i),
+
+    with ilo, ihi the split bounds of catalog._components.  The inner sum is
+    a difference of prefix sums of C(n-j, u) over u = r-i, so the measure
+    costs O(n^2) terms against the walker's O(n^3).  The trivial component
+    is (j, ell) = (n, 0), which has weight 1, and is left out.
+    """
     grouped: dict[int, int] = {}
-    for label, dim, mult, num in catalog._components(model):
-        if label != trivial:
-            grouped[num] = grouped.get(num, 0) + dim * mult
+    choose = 1  # C(n, j)
+    for j in range(n + 1):
+        rest = n - j
+        prefix = [0]  # prefix[t + 1] = sum_{u <= t} C(rest, u)
+        c = 1
+        for u in range(min(r, rest) + 1):
+            prefix.append(prefix[-1] + c)
+            c = c * (rest - u) // (u + 1)
+        for ell, dim in enumerate(catalog._two_row_dims(j, j // 2)):
+            ilo, ihi = max(ell, r - rest), min(r, j - ell)
+            if ilo > ihi or (j == n and ell == 0):
+                continue
+            num = j * j - 2 * ell * (j - ell + 1)
+            weight = choose * dim * (prefix[r - ilo + 1] - prefix[r - ihi])
+            grouped[num] = grouped.get(num, 0) + weight
+        choose = choose * rest // (j + 1)
+    return grouped
+
+
+def spectral_measure(model: ModelSpec) -> SpectralMeasure:
+    """Group the nontrivial components by eigenvalue, summing exact weights.
+
+    Independent flips use the O(n^2) closed form; the other families group
+    the catalog walker's components.
+    """
+    if model.family is Family.INDEPENDENT_FLIPS:
+        grouped = _independent_weights(model.n, model.r)
+    else:
+        trivial = astuple(catalog.trivial_label(model))
+        grouped = {}
+        for label, dim, mult, num in catalog._components(model):
+            if label != trivial:
+                grouped[num] = grouped.get(num, 0) + dim * mult
     den = catalog._eigen_den(model)
     nums = sorted(grouped, reverse=True)
     weights = [grouped[num] for num in nums]
@@ -164,6 +206,17 @@ def log_l2n_sq_bound(model: ModelSpec, k: int) -> float:
     return float(_log_bounds(spectral_measure(model), [k])[0])
 
 
+def _entry_numerators(model: ModelSpec, entries) -> tuple[list[int], list[int]]:
+    """Nontrivial entries as (nums, weights) over _eigen_den, grouped by eigenvalue."""
+    den = catalog._eigen_den(model)
+    grouped: dict[int, int] = {}
+    for e in nontrivial_entries(model, entries):
+        lam = e.eigenvalue
+        num = lam.numerator * (den // lam.denominator)
+        grouped[num] = grouped.get(num, 0) + e.weight
+    return list(grouped), list(grouped.values())
+
+
 def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     """(1/4) sum over nontrivial components of dim * mult * eigenvalue^(2k).
 
@@ -171,9 +224,15 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     uniform (an identity, not just a bound).  Float mode evaluates the
     spectral measure in log space and returns inf when the bound itself
     exceeds the float range (large n at small k); log_l2n_sq_bound gives
-    its log.  Exact mode returns a Fraction; pass precomputed catalog
-    entries to amortize exact sums over many k.  For float sweeps use
-    bound_curve, which builds the measure once.
+    its log.  For float sweeps use bound_curve, which builds the measure
+    once.
+
+    Exact mode sums integers: with eigenvalues num / den over the common
+    denominator den = catalog._eigen_den(model), it returns the one Fraction
+    sum(weight * num^(2k)) / (4 den^(2k)).  The numerators and weights come
+    from the spectral measure, or, when precomputed catalog entries are
+    passed (to amortize the catalog over many k), from those entries,
+    grouped by eigenvalue.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -181,10 +240,14 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
         if entries is not None:
             raise ValueError("entries apply to exact mode; use bound_curve for float sweeps")
         return _from_log(log_l2n_sq_bound(model, k))
-    total = Fraction(0)
-    for e in nontrivial_entries(model, entries):
-        total += e.weight * e.eigenvalue ** (2 * k)
-    return total / 4
+    if entries is None:
+        measure = spectral_measure(model)
+        nums, weights = measure.nums, measure.weights
+    else:
+        nums, weights = _entry_numerators(model, entries)
+    power = 2 * k
+    total = sum(w * num**power for num, w in zip(nums, weights))
+    return Fraction(total, 4 * catalog._eigen_den(model) ** power)
 
 
 def tv_upper(model: ModelSpec, k: int) -> float:

@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=os.cpu_count() or 1,
-            help="worker budget; results never depend on it",
+            help="recorded in the manifest; all computation runs on one thread",
         )
 
     p = sub.add_parser("catalog", help="component catalog as CSV")

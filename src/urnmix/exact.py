@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -62,6 +62,9 @@ FLOAT_STATE_CAP = 10**6
 RATIONAL_STATE_CAP = 10**4
 RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
+
+# kernel entries per block when the float weights are made
+_CONVERT_BLOCK = 1 << 14
 
 
 class SpaceCapError(RuntimeError):
@@ -310,7 +313,13 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False, state_cap: int | 
             yield k, Distribution(model, [Fraction(v, denom) for v in nums])
         return
 
-    weights = units / step
+    # The float weights overwrite the int64 units in place, a block at a
+    # time, so targets, units and a separate weights array are never alive
+    # together; each block's cast copy is the only temporary.
+    weights = units.view(np.float64)
+    for lo in range(0, len(units), _CONVERT_BLOCK):
+        block = slice(lo, lo + _CONVERT_BLOCK)
+        np.divide(units[block], step, out=weights[block])
     del units
     probs = np.zeros(n_states)
     probs[start] = 1.0
@@ -343,21 +352,37 @@ def distance_curve(model: ModelSpec, ks, exact: bool = False, state_cap: int | N
     return points
 
 
+def _integer_law(probs) -> tuple[list[int], int]:
+    """A rational law as integer numerators over the lcm D of its denominators."""
+    den = lcm(*{p.denominator for p in probs})
+    return [p.numerator * (den // p.denominator) for p in probs], den
+
+
 def tv_distance(dist: Distribution):
-    """(1/2) sum |p(x) - 1/|X||; a Fraction in exact mode, float otherwise."""
+    """(1/2) sum |p(x) - 1/|X||; a Fraction in exact mode, float otherwise.
+
+    Exact mode sums integers: with p(x) = v(x) / D over the common
+    denominator D, this is sum |v N - D| / (2 N D), N = |X|, built as one
+    Fraction.
+    """
     n_states = space_size(dist.model)
     if dist.exact:
-        u = Fraction(1, n_states)
-        return sum(abs(p - u) for p in dist.probs) / 2
+        nums, den = _integer_law(dist.probs)
+        return Fraction(sum(abs(v * n_states - den) for v in nums), 2 * n_states * den)
     return float(0.5 * np.abs(dist.probs - 1.0 / n_states).sum())
 
 
 def l2n_sq_distance(dist: Distribution):
-    """(|X|/4) sum (p(x) - 1/|X|)^2; matches the spectral sum exactly."""
+    """(|X|/4) sum (p(x) - 1/|X|)^2; matches the spectral sum exactly.
+
+    Exact mode sums integers over the common denominator D, as
+    sum (v N - D)^2 / (4 N D^2), and builds one Fraction.
+    """
     n_states = space_size(dist.model)
     if dist.exact:
-        u = Fraction(1, n_states)
-        return Fraction(n_states, 4) * sum((p - u) ** 2 for p in dist.probs)
+        nums, den = _integer_law(dist.probs)
+        total = sum((v * n_states - den) ** 2 for v in nums)
+        return Fraction(total, 4 * n_states * den * den)
     d = dist.probs - 1.0 / n_states
     return float(n_states / 4.0 * np.dot(d, d))
 
@@ -369,9 +394,9 @@ def subset_marginal(dist: Distribution) -> Distribution:
         raise ValueError("subset_marginal applies to signed families")
     base = comb(model.n, model.r)
     if dist.exact:
-        marg = [Fraction(0)] * base
-        for idx, p in enumerate(dist.probs):
-            marg[idx % base] += p
+        nums, den = _integer_law(dist.probs)
+        # index = signs * base + rank: rank b collects every base-th numerator
+        marg = [Fraction(sum(nums[b::base]), den) for b in range(base)]
     else:
         marg = dist.probs.reshape(-1, base).sum(axis=0)
     return Distribution(ModelSpec(Family.VARIANT, model.n, model.r), marg)

@@ -200,19 +200,22 @@ def _select(words: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int):
+def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool = True):
     """Walk walkers lo .. hi-1 for k steps; return their rack and charge words.
 
     Both are (ceil(n/64), hi - lo) uint64 arrays; the charge words are None
-    for unsigned families.  Draws are taken in the order chains.step takes
-    them from a WalkerStream, so each column is that walker's scalar replay.
+    for unsigned families, and for signed ones when charges is false, which
+    skips the coin draws and charge flips.  Draws are counter based, so the
+    rack words do not depend on charges.  Draws are taken in the order
+    chains.step takes them from a WalkerStream, so each column is that
+    walker's scalar replay.
     """
     n, r, family = model.n, model.r, model.family
     width, nb = -(-n // 64), hi - lo
     tmp = np.empty(nb, dtype=np.uint64)
     wh = _mix_np(_U(_seed_hash(seed)) ^ (np.arange(lo, hi, dtype=np.uint64) * _NC1 + _NC2), tmp)
     rack = np.repeat(_words((1 << r) - 1, width), nb, axis=1)
-    signs = np.zeros_like(rack) if family.signed else None
+    signs = np.zeros_like(rack) if family.signed and charges else None
     offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
     balls = _words((1 << n) - 1, width)
     slots = STREAM_DRAWS_PER_STEP[family]
@@ -246,7 +249,7 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int):
         rack ^= spare
         np.left_shift(flip, sh2, out=spare)
         rack ^= spare
-        if family is Family.VARIANT:
+        if signs is None:
             continue
         c1 = _draws(wh, base + 2, 2, draw[2], tmp)
         np.left_shift(c1, sh1, out=spare)
@@ -300,6 +303,8 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     n_states = space_size(model)
     do_tv = n_states <= TV_SPACE_CAP and total >= TV_WALKER_FACTOR * n_states
     counts = np.zeros(n_states, dtype=np.int64) if do_tv else None
+    # s1 reads the rack alone; only the histogram and the states file read charges
+    charges = do_tv or states_path is not None
     if do_tv:
         # C(c, t) for c < n and t <= r is below C(n, r) <= n_states
         binom = np.array(
@@ -314,7 +319,7 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     try:
         for lo in range(0, total, block_size):
             hi = min(lo + block_size, total)
-            rack, signs = _walk(model, k, seed, lo, hi)
+            rack, signs = _walk(model, k, seed, lo, hi, charges=charges)
             stray = np.bitwise_count(rack & high).sum(axis=0)
             s1_all[lo:hi] = 1.0 - stray * (n / (r * (n - r)))
 

@@ -112,6 +112,9 @@ SPECTRAL_MEASURE_GRID = [
     ModelSpec(Family.CLASSICAL, 9, 4),
     ModelSpec(Family.VARIANT, 10, 5),
     ModelSpec(Family.INDEPENDENT_FLIPS, 8, 3),
+    # odd n, r < n/2: the split bounds ilo and ihi of the closed-form
+    # independent measure each clip for some (j, ell)
+    ModelSpec(Family.INDEPENDENT_FLIPS, 13, 5),
     ModelSpec(Family.PAIRED_FLIPS, 8, 4),
 ]
 

@@ -6,7 +6,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnmix import bounds, catalog, exact, verify
@@ -179,6 +179,54 @@ def test_bound_handles_large_n_without_overflow():
     model = ModelSpec(Family.VARIANT, 2000, 1000)
     val = l2n_sq_bound(model, math.ceil(0.25 * 2000 * math.log(2000)))
     assert 0 < val < 10
+
+
+def _per_entry_bound(model, k):
+    """The spectral sum one Fraction per catalog entry: the integer sum's reference."""
+    total = Fraction(0)
+    for e in catalog.nontrivial_entries(model):
+        total += e.weight * e.eigenvalue ** (2 * k)
+    return total / 4
+
+
+@st.composite
+def small_models(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(2, 9))
+    return ModelSpec(family, n, draw(st.integers(1, n // 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), st.integers(0, 60))
+@example(ModelSpec(Family.PAIRED_FLIPS, 9, 4), 0)
+@example(ModelSpec(Family.VARIANT, 200, 100), 358)  # the rational crossing of criterion 6
+@example(ModelSpec(Family.VARIANT, 200, 100), 359)
+def test_exact_bound_equals_per_entry_fraction_sum(model, k):
+    entries = catalog.catalog_entries(model)
+    want = _per_entry_bound(model, k)
+    assert l2n_sq_bound(model, k, exact=True) == want
+    assert l2n_sq_bound(model, k, exact=True, entries=entries) == want
+
+
+def _walker_measure(model):
+    """The walker's nontrivial components grouped by eigenvalue numerator."""
+    trivial = (model.n, 0, 0)
+    grouped = {}
+    for label, dim, mult, num in catalog._components(model):
+        if label != trivial:
+            grouped[num] = grouped.get(num, 0) + dim * mult
+    return grouped
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 100, 200])
+def test_closed_form_independent_measure_equals_walker(n):
+    """Every r up to n = 40, and the balanced rack beyond."""
+    for r in range(1, n // 2 + 1) if n <= 40 else [n // 2]:
+        model = ModelSpec(Family.INDEPENDENT_FLIPS, n, r)
+        want = _walker_measure(model)
+        measure = spectral_measure(model)
+        assert dict(zip(measure.nums, measure.weights)) == want
+        assert list(measure.nums) == sorted(want, reverse=True)
 
 
 @settings(max_examples=40, deadline=None)

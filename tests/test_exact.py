@@ -1,11 +1,13 @@
 """Exact distribution evolution, distances, spectra, identities."""
 
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnmix import exact
@@ -160,6 +162,51 @@ def test_plancherel_identity_exact():
     ):
         for k, dist in evolve_sequence(model, range(0, 12), exact=True):
             assert exact.l2n_sq_distance(dist) == l2n_sq_bound(model, k, exact=True)
+
+
+def _per_state_tv(dist):
+    u = Fraction(1, space_size(dist.model))
+    return sum(abs(p - u) for p in dist.probs) / 2
+
+
+def _per_state_l2n_sq(dist):
+    n_states = space_size(dist.model)
+    u = Fraction(1, n_states)
+    return Fraction(n_states, 4) * sum((p - u) ** 2 for p in dist.probs)
+
+
+def _per_state_marginal(dist):
+    base = math.comb(dist.model.n, dist.model.r)
+    marg = [Fraction(0)] * base
+    for idx, p in enumerate(dist.probs):
+        marg[idx % base] += p
+    return marg
+
+
+@st.composite
+def rational_models(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(2, 5 if family.signed else 9))
+    return ModelSpec(family, n, draw(st.integers(1, n // 2)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rational_models(), st.integers(0, 12))
+@example(ModelSpec(Family.CLASSICAL, 2, 1), 0)
+@example(ModelSpec(Family.CLASSICAL, 2, 1), 5)
+@example(ModelSpec(Family.PAIRED_FLIPS, 4, 2), 0)
+@example(ModelSpec(Family.INDEPENDENT_FLIPS, 4, 2), 7)
+def test_integer_reductions_equal_per_state_fractions(model, k):
+    """The integer-numerator reductions give the per-state Fraction sums exactly."""
+    dist = evolve(model, k, exact=True)
+    tv = tv_distance(dist)
+    l2 = exact.l2n_sq_distance(dist)
+    assert type(tv) is Fraction and tv == _per_state_tv(dist)
+    assert type(l2) is Fraction and l2 == _per_state_l2n_sq(dist)
+    if model.family.signed:
+        marg = subset_marginal(dist)
+        assert marg.exact and marg.probs == _per_state_marginal(dist)
+        assert all(type(p) is Fraction for p in marg.probs)
 
 
 def test_tv_never_exceeds_upper_bound():
@@ -390,6 +437,33 @@ def test_subset_marginal_paired_7_3():
         marg = subset_marginal(d_signed)
         assert marg.model == plain
         assert np.abs(marg.probs - d_plain.probs).max() <= 1e-12
+
+
+def test_float_weights_reuse_the_units_buffer():
+    """The first next() holds no third table-length array.
+
+    At k = 0 it builds the table and the float weights and yields the point
+    mass.  A separate weights array next to targets and units would hold
+    24 bytes per kernel entry; filling the weights into the units buffer
+    keeps 16, plus state-length arrays and one conversion block.
+    """
+    model = ModelSpec(Family.PAIRED_FLIPS, 8, 4)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        counts, targets, units = _kernel_table(model)
+        weights = units / step_units(model)
+        separate_peak = tracemalloc.get_traced_memory()[1]
+        del counts, targets, units, weights
+        tracemalloc.reset_peak()
+        next(evolve_sequence(model, [0, 1]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries, states = len(_kernel_table(model)[1]), space_size(model)
+    assert separate_peak >= 24 * entries
+    assert peak <= 16 * entries + 4 * 8 * states + 2 * 8 * exact._CONVERT_BLOCK
+    assert separate_peak - peak >= 7 * entries
 
 
 def test_kernel_table_row_sum_check_raises(monkeypatch):

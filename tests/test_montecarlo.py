@@ -214,3 +214,14 @@ def models(draw):
 def test_packed_walk_matches_scalar_replay(model, k, lo, block):
     """Every walker of a block, at any n, equals its chains.step replay."""
     assert montecarlo_replay_mismatch(model, k, seed=lo ^ 0x5EED, lo=lo, hi=lo + block) is None
+
+
+@pytest.mark.parametrize("family", [Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS])
+@pytest.mark.parametrize("n, r", [(9, 4), (130, 61)])
+def test_rack_words_do_not_depend_on_charges(family, n, r):
+    """Skipping the coin draws leaves the rack stream as it is."""
+    model = ModelSpec(family, n, r)
+    rack, signs = montecarlo._walk(model, 25, 99, 3, 40)
+    bare, none = montecarlo._walk(model, 25, 99, 3, 40, charges=False)
+    assert signs is not None and none is None
+    assert np.array_equal(rack, bare)
