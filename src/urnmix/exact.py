@@ -4,12 +4,14 @@ States are indexed by colexicographic subset rank; signed states add the
 charge word as the high part, index = signs * C(n,r) + subset_rank.  Every
 exact path reads one integer kernel table, built with numpy: per source
 index, the distinct targets ascending and their integer weights in units of
-1/step_units(model).  Float evolution scatters it with bincount and is
-deterministic for a fixed model (no parallel reductions).  Rational
-evolution reads the same table as Python ints and keeps integer numerators
-over the common denominator step_units(model)^k, so results are exact and
-bitwise reproducible.  The dense kernel behind spectrum and the trace check
-is filled from it in one assignment.
+1/step_units(model).  Float and rational evolution share one stepping loop
+over it.  A float law is a float64 array, scattered with bincount, and is
+deterministic for a fixed model (no parallel reductions).  A rational law
+is an object array of Python-int numerators over the common denominator
+step_units(model)^k, scattered with np.add.at, so results are exact and
+bitwise reproducible; a Fraction is built once per answer, never per
+state.  The dense kernel behind spectrum and the trace check is filled
+from the table in one assignment.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, lcm
+from math import comb
 
 import numpy as np
 
@@ -124,15 +126,19 @@ def enumerate_states(model: ModelSpec):
 class Distribution:
     """A probability vector over the indexed state space.
 
-    probs is a float64 numpy array, or a list of Fractions in exact mode.
+    A float law holds float64 probabilities and den = None.  An exact law
+    holds an object array of Python-int numerators over den: state i has
+    probability probs[i] / den, with den = step_units(model)^k after k
+    steps.
     """
 
     model: ModelSpec
-    probs: object
+    probs: np.ndarray
+    den: int | None = None
 
     @property
     def exact(self) -> bool:
-        return not isinstance(self.probs, np.ndarray)
+        return self.den is not None
 
 
 def _label(model: ModelSpec) -> str:
@@ -258,16 +264,16 @@ def _signed_table(model: ModelSpec, bits, masks, inside):
     return counts, targets, units
 
 
-def evolve(model: ModelSpec, k: int, exact: bool = False, state_cap: int | None = None) -> Distribution:
+def evolve(model: ModelSpec, k: int, exact: bool = False) -> Distribution:
     """Law of the chain after k steps from the deterministic initial state."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    for _, dist in evolve_sequence(model, [k], exact=exact, state_cap=state_cap):
+    for _, dist in evolve_sequence(model, [k], exact=exact):
         pass
     return dist
 
 
-def evolve_sequence(model: ModelSpec, ks, exact: bool = False, state_cap: int | None = None):
+def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
     """Step once per unit k, yielding a Distribution at each requested k.
 
     The yielded distributions are fresh copies and safe to keep.
@@ -277,62 +283,51 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False, state_cap: int | 
         raise ValueError(f"bad step grid {ks}")
     n_states = space_size(model)
     if exact:
-        cap = RATIONAL_STATE_CAP if state_cap is None else state_cap
-        if n_states > cap:
-            raise SpaceCapError(n_states, cap, "rational evolution state count")
+        if n_states > RATIONAL_STATE_CAP:
+            raise SpaceCapError(n_states, RATIONAL_STATE_CAP, "rational evolution state count")
         if ks[-1] > RATIONAL_STEP_CAP:
             raise SpaceCapError(ks[-1], RATIONAL_STEP_CAP, "rational step count")
-    else:
-        cap = FLOAT_STATE_CAP if state_cap is None else state_cap
-        if n_states > cap:
-            raise SpaceCapError(n_states, cap, "evolution state count")
+    elif n_states > FLOAT_STATE_CAP:
+        raise SpaceCapError(n_states, FLOAT_STATE_CAP, "evolution state count")
 
     counts, targets, units = _kernel_table(model)
     step = step_units(model)
     start = state_index(model, initial_state(model))
 
     if exact:
-        ends = np.cumsum(counts).tolist()
-        targets, units = targets.tolist(), units.tolist()
-        rows = [(targets[e - c : e], units[e - c : e]) for c, e in zip(counts.tolist(), ends)]
-        nums = [0] * n_states
-        nums[start] = 1
-        denom = 1
-        step_no = 0
-        for k in ks:
-            while step_no < k:
-                new = [0] * n_states
-                for s, (row_targets, row_units) in enumerate(rows):
-                    v = nums[s]
-                    if v:
-                        for t, w in zip(row_targets, row_units):
-                            new[t] += w * v
-                nums = new
-                denom *= step
-                step_no += 1
-            yield k, Distribution(model, [Fraction(v, denom) for v in nums])
-        return
-
-    # The float weights overwrite the int64 units in place, a block at a
-    # time, so targets, units and a separate weights array are never alive
-    # together; each block's cast copy is the only temporary.
-    weights = units.view(np.float64)
-    for lo in range(0, len(units), _CONVERT_BLOCK):
-        block = slice(lo, lo + _CONVERT_BLOCK)
-        np.divide(units[block], step, out=weights[block])
+        # Python-int weights in units of 1/step: each step multiplies the
+        # common denominator by step and the numerators stay integers.
+        weights = units.astype(object)
+        probs = np.zeros(n_states, dtype=object)
+        probs[start] = 1
+        den = 1
+    else:
+        # The float weights overwrite the int64 units in place, a block at a
+        # time, so targets, units and a separate weights array are never
+        # alive together; each block's cast copy is the only temporary.
+        weights = units.view(np.float64)
+        for lo in range(0, len(units), _CONVERT_BLOCK):
+            block = slice(lo, lo + _CONVERT_BLOCK)
+            np.divide(units[block], step, out=weights[block])
+        probs = np.zeros(n_states)
+        probs[start] = 1.0
+        den = None
     del units
-    probs = np.zeros(n_states)
-    probs[start] = 1.0
     step_no = 0
     for k in ks:
         while step_no < k:
             # one table-length temporary, freed before the next step makes its own
             contrib = np.repeat(probs, counts)
             contrib *= weights
-            probs = np.bincount(targets, weights=contrib, minlength=n_states)
+            if exact:
+                probs = np.zeros(n_states, dtype=object)
+                np.add.at(probs, targets, contrib)
+                den *= step
+            else:
+                probs = np.bincount(targets, weights=contrib, minlength=n_states)
             del contrib
             step_no += 1
-        yield k, Distribution(model, probs.copy())
+        yield k, Distribution(model, probs.copy(), den)
 
 
 @dataclass(frozen=True)
@@ -342,84 +337,75 @@ class ExactCurvePoint:
     l2n_sq: object
 
 
-def distance_curve(model: ModelSpec, ks, exact: bool = False, state_cap: int | None = None) -> list[ExactCurvePoint]:
+def distance_curve(model: ModelSpec, ks, exact: bool = False) -> list[ExactCurvePoint]:
     """Total variation and scaled l2 distance from uniform along a step grid."""
     points = []
-    for k, dist in evolve_sequence(model, ks, exact=exact, state_cap=state_cap):
+    for k, dist in evolve_sequence(model, ks, exact=exact):
         points.append(
             ExactCurvePoint(k=k, tv=tv_distance(dist), l2n_sq=l2n_sq_distance(dist))
         )
     return points
 
 
-def _integer_law(probs) -> tuple[list[int], int]:
-    """A rational law as integer numerators over the lcm D of its denominators."""
-    den = lcm(*{p.denominator for p in probs})
-    return [p.numerator * (den // p.denominator) for p in probs], den
-
-
 def tv_distance(dist: Distribution):
     """(1/2) sum |p(x) - 1/|X||; a Fraction in exact mode, float otherwise.
 
-    Exact mode sums integers: with p(x) = v(x) / D over the common
+    Exact mode sums integers: with p(x) = v(x) / D over the law's
     denominator D, this is sum |v N - D| / (2 N D), N = |X|, built as one
     Fraction.
     """
     n_states = space_size(dist.model)
     if dist.exact:
-        nums, den = _integer_law(dist.probs)
-        return Fraction(sum(abs(v * n_states - den) for v in nums), 2 * n_states * den)
+        total = np.abs(dist.probs * n_states - dist.den).sum()
+        return Fraction(total, 2 * n_states * dist.den)
     return float(0.5 * np.abs(dist.probs - 1.0 / n_states).sum())
 
 
 def l2n_sq_distance(dist: Distribution):
     """(|X|/4) sum (p(x) - 1/|X|)^2; matches the spectral sum exactly.
 
-    Exact mode sums integers over the common denominator D, as
+    Exact mode sums integers over the law's denominator D, as
     sum (v N - D)^2 / (4 N D^2), and builds one Fraction.
     """
     n_states = space_size(dist.model)
     if dist.exact:
-        nums, den = _integer_law(dist.probs)
-        total = sum((v * n_states - den) ** 2 for v in nums)
-        return Fraction(total, 4 * n_states * den * den)
+        gaps = dist.probs * n_states - dist.den
+        return Fraction(np.dot(gaps, gaps), 4 * n_states * dist.den**2)
     d = dist.probs - 1.0 / n_states
     return float(n_states / 4.0 * np.dot(d, d))
 
 
 def subset_marginal(dist: Distribution) -> Distribution:
-    """Collapse a signed distribution onto the rack subset, as a variant law."""
+    """Collapse a signed distribution onto the rack subset, as a variant law.
+
+    index = signs * C(n,r) + rank, so rank b collects every C(n,r)-th entry;
+    an exact law keeps its denominator.
+    """
     model = dist.model
     if not model.family.signed:
         raise ValueError("subset_marginal applies to signed families")
-    base = comb(model.n, model.r)
-    if dist.exact:
-        nums, den = _integer_law(dist.probs)
-        # index = signs * base + rank: rank b collects every base-th numerator
-        marg = [Fraction(sum(nums[b::base]), den) for b in range(base)]
-    else:
-        marg = dist.probs.reshape(-1, base).sum(axis=0)
-    return Distribution(ModelSpec(Family.VARIANT, model.n, model.r), marg)
+    marg = dist.probs.reshape(-1, comb(model.n, model.r)).sum(axis=0)
+    return Distribution(ModelSpec(Family.VARIANT, model.n, model.r), marg, dist.den)
 
 
-def _dense_kernel(model: ModelSpec, cap: int) -> np.ndarray:
+def _dense_kernel(model: ModelSpec) -> np.ndarray:
     n_states = space_size(model)
-    if n_states > cap:
-        raise SpaceCapError(n_states, cap, "dense kernel state count")
+    if n_states > DENSE_CAP:
+        raise SpaceCapError(n_states, DENSE_CAP, "dense kernel state count")
     counts, targets, units = _kernel_table(model)
     mat = np.zeros((n_states, n_states))
     mat[np.repeat(np.arange(n_states), counts), targets] = units / step_units(model)
     return mat
 
 
-def spectrum(model: ModelSpec, cap: int = DENSE_CAP) -> np.ndarray:
+def spectrum(model: ModelSpec) -> np.ndarray:
     """All kernel eigenvalues, descending.
 
     The rational kernel is symmetric, so the float matrix is symmetric to
     the last bit; this is checked (tolerance 1e-15, RuntimeError otherwise)
     before symmetrizing and calling the dense symmetric eigensolver.
     """
-    mat = _dense_kernel(model, cap)
+    mat = _dense_kernel(model)
     skew = np.abs(mat - mat.T).max()
     if skew > 1e-15:
         raise RuntimeError(f"{_label(model)}: kernel asymmetry {skew}")
@@ -447,7 +433,7 @@ class TraceCheckRow:
     rel_err: float
 
 
-def trace_identity_check(model: ModelSpec, kmax: int, cap: int = DENSE_CAP) -> list[TraceCheckRow]:
+def trace_identity_check(model: ModelSpec, kmax: int) -> list[TraceCheckRow]:
     """Compare tr(P^k) against sum dim * mult * eigenvalue^k for k = 1..kmax.
 
     Agreement pins dimensions, multiplicities and eigenvalues jointly; a
@@ -455,7 +441,7 @@ def trace_identity_check(model: ModelSpec, kmax: int, cap: int = DENSE_CAP) -> l
     """
     if kmax < 1:
         raise ValueError(f"need kmax >= 1, got {kmax}")
-    mat = _dense_kernel(model, cap)
+    mat = _dense_kernel(model)
     values, weights = _catalog_spectrum(model)
     out = []
     power = mat.copy()
@@ -477,9 +463,14 @@ def trace_identity_check(model: ModelSpec, kmax: int, cap: int = DENSE_CAP) -> l
 
 
 def distribution_csv(dist: Distribution) -> str:
-    """CSV snapshot rank,probability with 18 significant digits."""
+    """CSV snapshot rank,probability with 18 significant digits.
+
+    An exact law is divided as Python int / int, which rounds correctly,
+    as float(Fraction) does.
+    """
+    probs = dist.probs / dist.den if dist.exact else dist.probs
     buf = io.StringIO()
     buf.write("rank,probability\n")
-    for idx, p in enumerate(dist.probs):
+    for idx, p in enumerate(probs):
         buf.write(f"{idx},{float(p):.17e}\n")
     return buf.getvalue()

@@ -437,7 +437,9 @@ def determinism() -> str:
         raise CheckFailed("simulation summary depends on the batching")
     if not np.array_equal(exact.evolve(model, 9).probs, exact.evolve(model, 9).probs):
         raise CheckFailed("float evolution not reproducible")
-    if exact.evolve(model, 9, exact=True).probs != exact.evolve(model, 9, exact=True).probs:
+    # != on object arrays compares elementwise, so compare den and array_equal
+    first, again = exact.evolve(model, 9, exact=True), exact.evolve(model, 9, exact=True)
+    if first.den != again.den or not np.array_equal(first.probs, again.probs):
         raise CheckFailed("rational evolution not reproducible")
     return "simulation independent of batching; float and rational reruns equal"
 

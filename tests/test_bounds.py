@@ -365,11 +365,12 @@ def test_moments_and_variance_against_exact_evolution(n, r):
     model = ModelSpec(Family.VARIANT, n, r)
     for k, dist in exact.evolve_sequence(model, range(0, 9), exact=True):
         states = exact.enumerate_states(model)
-        mean = sum(p * spherical_s1(n, r, s) for p, s in zip(dist.probs, states))
+        law = [Fraction(v, dist.den) for v in dist.probs]
+        mean = sum(p * spherical_s1(n, r, s) for p, s in zip(law, states))
         assert math.isclose(float(mean), moment_s1(n, k), abs_tol=1e-12)
         f_vals = [math.sqrt(n - 1) * float(spherical_s1(n, r, s)) for s in states]
-        ef = sum(p * f for p, f in zip(map(float, dist.probs), f_vals))
-        ef2 = sum(p * f * f for p, f in zip(map(float, dist.probs), f_vals))
+        ef = sum(p * f for p, f in zip(map(float, law), f_vals))
+        ef2 = sum(p * f * f for p, f in zip(map(float, law), f_vals))
         var = ef2 - ef * ef
         assert math.isclose(
             variance_ratio(n, r, k), var / ef**2, rel_tol=1e-8, abs_tol=1e-12

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: formats, manifests, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -10,6 +11,13 @@ from pathlib import Path
 import pytest
 
 from urnmix import cli, verify
+from urnmix.chains import initial_state, kernel_row
+from urnmix.exact import enumerate_states
+from urnmix.models import Family, ModelSpec
+
+GOLDEN_CLI = json.loads(
+    (Path(__file__).resolve().parent.parent / "bench" / "golden_cli.json").read_text()
+)
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +90,18 @@ def test_exact_space_cap_exit(capsys):
     assert "cap" in err
 
 
+def _kernel_row_law(model, k):
+    """The k-step law as one Fraction per state, stepping kernel_row rows."""
+    law = {initial_state(model): Fraction(1)}
+    for _ in range(k):
+        nxt = {}
+        for s, p in law.items():
+            for t, w in kernel_row(model, s).entries:
+                nxt[t] = nxt.get(t, 0) + p * w
+        law = nxt
+    return [law.get(s, Fraction(0)) for s in enumerate_states(model)]
+
+
 def test_exact_rational_dump(tmp_path, capsys):
     dump = tmp_path / "dist.csv"
     code, out, _ = run_cli(
@@ -96,6 +116,35 @@ def test_exact_rational_dump(tmp_path, capsys):
     assert lines[0] == "rank,probability"
     assert len(lines) == 7
     assert sum(float(line.split(",")[1]) for line in lines[1:]) == pytest.approx(1.0)
+    want = _kernel_row_law(ModelSpec(Family.VARIANT, 4, 2), 3)
+    assert lines[1:] == [f"{idx},{float(p):.17e}" for idx, p in enumerate(want)]
+    # 12^30 is past 2^53: only a correctly rounded division gives these lines
+    code, _, _ = run_cli(
+        capsys,
+        "exact", "--family", "classical", "--n", "7", "--r", "3",
+        "--k", "30", "--rational", "--dump-dist", str(dump),
+    )
+    assert code == 0
+    want = _kernel_row_law(ModelSpec(Family.CLASSICAL, 7, 3), 30)
+    lines = dump.read_text().strip().splitlines()
+    assert lines[1:] == [f"{idx},{float(p):.17e}" for idx, p in enumerate(want)]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
+def test_cli_output_matches_golden_digest(command, capsys, monkeypatch):
+    """The byte contract: catalog, exact --rational and simulate keep their recorded sha256.
+
+    simulate is digested with elapsed_s zeroed, as its manifest does.
+    """
+    monkeypatch.delenv("URNMIX_SEED", raising=False)
+    argv = command.split()
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "simulate":
+        doc = json.loads(out)
+        doc["elapsed_s"] = 0.0
+        out = json.dumps(doc) + "\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLI[command]
 
 
 def test_bounds_k_grid(capsys):

@@ -34,6 +34,30 @@ from urnmix.exact import (
 from urnmix.models import Family, ModelSpec
 
 
+def _law(dist):
+    """An exact law as one Fraction per state."""
+    return [Fraction(v, dist.den) for v in dist.probs]
+
+
+def _fraction_powers(model, kmax):
+    """Laws after 0..kmax steps, by powering the kernel_row Fraction matrix."""
+    states = enumerate_states(model)
+    idx = {s: i for i, s in enumerate(states)}
+    rows = [kernel_row(model, s) for s in states]
+    v = [Fraction(0)] * len(states)
+    v[state_index(model, initial_state(model))] = Fraction(1)
+    laws = [v]
+    for _ in range(kmax):
+        nxt = [Fraction(0)] * len(states)
+        for i, p in enumerate(v):
+            if p:
+                for t, w in rows[i].entries:
+                    nxt[idx[t]] += p * w
+        v = nxt
+        laws.append(v)
+    return laws
+
+
 def test_space_size():
     assert space_size(ModelSpec(Family.CLASSICAL, 4, 2)) == 6
     assert space_size(ModelSpec(Family.VARIANT, 10, 5)) == 252
@@ -66,18 +90,20 @@ def test_initial_state_has_index_zero():
 def test_evolve_k0_is_point_mass():
     model = ModelSpec(Family.VARIANT, 4, 2)
     dist = evolve(model, 0, exact=True)
-    assert dist.probs[0] == 1
-    assert all(p == 0 for p in dist.probs[1:])
+    assert dist.den == 1
+    law = _law(dist)
+    assert law[0] == 1
+    assert all(p == 0 for p in law[1:])
     assert tv_distance(dist) == Fraction(5, 6)
 
 
 def test_evolve_one_step_equals_kernel_row():
     for family in Family:
         model = ModelSpec(family, 5, 2)
-        dist = evolve(model, 1, exact=True)
+        law = _law(evolve(model, 1, exact=True))
         row = kernel_row(model, initial_state(model))
         for i, s in enumerate(enumerate_states(model)):
-            assert dist.probs[i] == row.weight_to(s)
+            assert law[i] == row.weight_to(s)
 
 
 def test_variant_2_1_mixes_in_one_step():
@@ -91,7 +117,7 @@ def test_classical_2_1_never_mixes():
         assert tv_distance(dist) == Fraction(1, 2)
         # forced swap on two states is deterministic: the mass just bounces
         expected = [0, 1] if k % 2 else [1, 0]
-        assert list(dist.probs) == expected
+        assert _law(dist) == expected
 
 
 def test_tv_is_nonincreasing_in_k():
@@ -110,24 +136,29 @@ def test_tv_is_nonincreasing_in_k():
 
 
 def test_variant_4_2_k3_golden():
-    """Frozen third-step distance, cross-checked by matrix powering."""
-    model = ModelSpec(Family.VARIANT, 4, 2)
-    dist = evolve(model, 3, exact=True)
+    """Frozen third-step distance; the law itself is checked against matrix powers below."""
+    dist = evolve(ModelSpec(Family.VARIANT, 4, 2), 3, exact=True)
     assert tv_distance(dist) == Fraction(13, 192)
 
-    states = enumerate_states(model)
-    idx = {s: i for i, s in enumerate(states)}
-    rows = [kernel_row(model, s) for s in states]
-    v = [Fraction(0)] * len(states)
-    v[0] = Fraction(1)
-    for _ in range(3):
-        nxt = [Fraction(0)] * len(states)
-        for i, p in enumerate(v):
-            if p:
-                for t, w in rows[i].entries:
-                    nxt[idx[t]] += p * w
-        v = nxt
-    assert list(dist.probs) == v
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelSpec(Family.VARIANT, 4, 2),
+        ModelSpec(Family.CLASSICAL, 5, 2),
+        ModelSpec(Family.INDEPENDENT_FLIPS, 3, 1),
+        ModelSpec(Family.PAIRED_FLIPS, 3, 1),
+    ],
+    ids=lambda m: f"{m.family.value}-{m.n}-{m.r}",
+)
+def test_exact_law_equals_fraction_matrix_powers(model):
+    """Integer numerators over step_units^k are the kernel_row Fraction powers."""
+    ks = [0, 1, 2, 3, 6]
+    want = _fraction_powers(model, ks[-1])
+    for k, dist in evolve_sequence(model, ks, exact=True):
+        assert dist.exact and dist.den == step_units(model) ** k
+        assert dist.probs.dtype == object and all(type(v) is int for v in dist.probs)
+        assert _law(dist) == want[k]
 
 
 def test_float_and_rational_paths_agree():
@@ -138,7 +169,7 @@ def test_float_and_rational_paths_agree():
         for k in (1, 4, 9):
             df = evolve(model, k)
             dr = evolve(model, k, exact=True)
-            assert np.allclose(df.probs, [float(p) for p in dr.probs], atol=1e-14)
+            assert np.allclose(df.probs, [float(p) for p in _law(dr)], atol=1e-14)
             assert math.isclose(
                 tv_distance(df), float(tv_distance(dr)), abs_tol=1e-12
             )
@@ -148,7 +179,7 @@ def test_probabilities_sum_to_one():
     for family in Family:
         model = ModelSpec(family, 6, 2)
         dist = evolve(model, 7, exact=True)
-        assert sum(dist.probs) == 1
+        assert sum(dist.probs) == dist.den and sum(_law(dist)) == 1
         distf = evolve(model, 7)
         assert math.isclose(float(np.sum(distf.probs)), 1.0, abs_tol=1e-12)
 
@@ -166,19 +197,19 @@ def test_plancherel_identity_exact():
 
 def _per_state_tv(dist):
     u = Fraction(1, space_size(dist.model))
-    return sum(abs(p - u) for p in dist.probs) / 2
+    return sum(abs(p - u) for p in _law(dist)) / 2
 
 
 def _per_state_l2n_sq(dist):
     n_states = space_size(dist.model)
     u = Fraction(1, n_states)
-    return Fraction(n_states, 4) * sum((p - u) ** 2 for p in dist.probs)
+    return Fraction(n_states, 4) * sum((p - u) ** 2 for p in _law(dist))
 
 
 def _per_state_marginal(dist):
     base = math.comb(dist.model.n, dist.model.r)
     marg = [Fraction(0)] * base
-    for idx, p in enumerate(dist.probs):
+    for idx, p in enumerate(_law(dist)):
         marg[idx % base] += p
     return marg
 
@@ -205,8 +236,9 @@ def test_integer_reductions_equal_per_state_fractions(model, k):
     assert type(l2) is Fraction and l2 == _per_state_l2n_sq(dist)
     if model.family.signed:
         marg = subset_marginal(dist)
-        assert marg.exact and marg.probs == _per_state_marginal(dist)
-        assert all(type(p) is Fraction for p in marg.probs)
+        assert marg.exact and marg.den == dist.den
+        assert all(type(v) is int for v in marg.probs)
+        assert _law(marg) == _per_state_marginal(dist)
 
 
 def test_tv_never_exceeds_upper_bound():
@@ -257,14 +289,14 @@ def test_expected_spectrum_repeats_catalog(family):
 
 
 def test_trace_identity():
-    rows = trace_identity_check(ModelSpec(Family.INDEPENDENT_FLIPS, 2, 1), 4, 4096)
+    rows = trace_identity_check(ModelSpec(Family.INDEPENDENT_FLIPS, 2, 1), 4)
     assert rows[0].kernel_trace == pytest.approx(2.0, abs=1e-12)
     for row in rows:
         assert row.rel_err < 1e-10
-    rows = trace_identity_check(ModelSpec(Family.VARIANT, 6, 3), 6, 4096)
+    rows = trace_identity_check(ModelSpec(Family.VARIANT, 6, 3), 6)
     for row in rows:
         assert row.rel_err < 1e-10
-    rows = trace_identity_check(ModelSpec(Family.PAIRED_FLIPS, 3, 1), 2, 4096)
+    rows = trace_identity_check(ModelSpec(Family.PAIRED_FLIPS, 3, 1), 2)
     assert [row.k for row in rows] == [1, 2]
     for row in rows:
         assert abs(row.kernel_trace - row.catalog_trace) < 1e-9
