@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import eig_classical, nontrivial_entries
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, step_count
 
 __all__ = [
     "BoundCurvePoint",
@@ -174,7 +174,11 @@ def _log_bounds(measure: SpectralMeasure, ks) -> np.ndarray:
     keep the temporaries near _BLOCK_BYTES.  A zero eigenvalue counts only
     at k = 0, where the sum is the total weight.
     """
-    ks = np.asarray(ks, dtype=np.int64).reshape(-1)
+    ks = np.asarray(ks).reshape(-1)
+    if ks.dtype.kind not in "iu":
+        # a float or object grid: each entry must still be an integer
+        ks = np.array([step_count(k) for k in ks.tolist()], dtype=np.int64)
+    ks = ks.astype(np.int64, copy=False)
     if ks.size and ks.min() < 0:
         raise ValueError(f"need k >= 0, got {int(ks.min())}")
     out = np.full(ks.shape, measure.log_total)
@@ -234,6 +238,7 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     passed (to amortize the catalog over many k), from those entries,
     grouped by eigenvalue.
     """
+    k = step_count(k)
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     if not exact:

@@ -1,4 +1,4 @@
-"""States, stepping rules, and exact one-step kernel rows.
+"""States, stepping rules, and the exact law of one step.
 
 A state stores the set of ball labels on rack 1 as an n-bit mask (bit b is
 ball b+1).  Signed states also carry an n-bit charge mask, indexed by ball
@@ -6,24 +6,27 @@ label, so swapping two balls never touches the charge word; only explicit
 flips do.
 
 Samplers draw from any source with an ``integers(n)`` method returning a
-uniform value in [0, n).  Each family consumes a fixed number of draws per
-step, in a fixed order, so that a trajectory is a pure function of the
-stream:
+uniform value in [0, n).  draw_bounds gives the bound of each draw one step
+takes, in order, so that a trajectory is a pure function of the stream:
 
-    classical    2 draws: index on rack 1, index on rack 2
-    variant      2 draws: ball, ball
-    independent  4 draws: ball, ball, coin, coin  (coins always consumed)
-    paired       3 draws: ball, ball, coin
+    classical    (r, n-r)      index on rack 1, index on rack 2
+    variant      (n, n)        ball, ball
+    independent  (n, n, 2, 2)  ball, ball, coin, coin  (coins always consumed)
+    paired       (n, n, 2)     ball, ball, coin
 
 For the independent family with equal ball draws the second coin is consumed
-and discarded, keeping the stride constant.
+and discarded, keeping the stride constant.  A step has step_units(model),
+the product of its draw bounds, equally likely outcomes; kernel_row counts
+the stepper's targets over all of them, so the exact law is the sampler's.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 from .models import Family, ModelSpec
 
@@ -38,6 +41,7 @@ __all__ = [
     "step_paired_flips",
     "step",
     "kernel_row",
+    "draw_bounds",
     "step_units",
     "subset_rank",
     "subset_unrank",
@@ -196,12 +200,17 @@ _STEPPERS = {
     Family.PAIRED_FLIPS: step_paired_flips,
 }
 
-STREAM_DRAWS_PER_STEP = {
-    Family.CLASSICAL: 2,
-    Family.VARIANT: 2,
-    Family.INDEPENDENT_FLIPS: 4,
-    Family.PAIRED_FLIPS: 3,
-}
+
+def draw_bounds(model: ModelSpec) -> tuple[int, ...]:
+    """The bound of each draw one step takes, in the order step takes them."""
+    n, r = model.n, model.r
+    if model.family is Family.CLASSICAL:
+        return (r, n - r)
+    if model.family is Family.VARIANT:
+        return (n, n)
+    if model.family is Family.INDEPENDENT_FLIPS:
+        return (n, n, 2, 2)
+    return (n, n, 2)
 
 
 def step(model: ModelSpec, state, rng):
@@ -210,18 +219,12 @@ def step(model: ModelSpec, state, rng):
 
 
 def step_units(model: ModelSpec) -> int:
-    """Common denominator of all one-step transition probabilities.
+    """Number of equally likely draw outcomes of one step.
 
+    Every one-step transition probability is a count of outcomes over this:
     classical r(n-r), variant n^2, independent flips 4n^2, paired 2n^2.
     """
-    n, r = model.n, model.r
-    if model.family is Family.CLASSICAL:
-        return r * (n - r)
-    if model.family is Family.VARIANT:
-        return n * n
-    if model.family is Family.INDEPENDENT_FLIPS:
-        return 4 * n * n
-    return 2 * n * n
+    return prod(draw_bounds(model))
 
 
 @dataclass(frozen=True)
@@ -241,96 +244,47 @@ class KernelRow:
         return Fraction(0)
 
 
-def kernel_row(model: ModelSpec, state) -> KernelRow:
-    """Exact transition row out of a state, aggregated over outcomes.
+class _Replay:
+    """Draw source that hands a stepper one fixed outcome of its draws."""
 
-    Weights are fractions with denominator dividing step_units(model); they
-    sum to exactly 1.  The kernel is symmetric (every atomic move is an
-    involution with the same selection probability both ways), hence doubly
-    stochastic with uniform stationary law.
+    __slots__ = ("bounds", "outcome", "used")
+
+    def __init__(self, bounds: tuple[int, ...]):
+        self.bounds = bounds
+        self.outcome = ()
+        self.used = 0
+
+    def integers(self, bound: int) -> int:
+        at = self.used
+        if at == len(self.bounds) or bound != self.bounds[at]:
+            raise RuntimeError(
+                f"step took draw {at} from bound {bound}, draw_bounds lists {self.bounds}"
+            )
+        self.used = at + 1
+        return self.outcome[at]
+
+
+def kernel_row(model: ModelSpec, state) -> KernelRow:
+    """The exact law of one step out of a state.
+
+    step runs on each of the step_units(model) equally likely outcomes of
+    its draws; a target weighs the count of outcomes reaching it over
+    step_units, so the weights sum to exactly 1.  A stepper whose draws
+    differ from draw_bounds raises RuntimeError.  The kernel is symmetric
+    (every atomic move is an involution with the same selection probability
+    both ways), hence doubly stochastic with uniform stationary law.
     """
     _check_state(model, state)
-    family = model.family
-    if family is Family.CLASSICAL:
-        acc = _row_classical(model, state)
-    elif family is Family.VARIANT:
-        acc = _row_variant(model, state)
-    elif family is Family.INDEPENDENT_FLIPS:
-        acc = _row_independent(model, state)
-    else:
-        acc = _row_paired(model, state)
-    if family.signed:
-        key = lambda sw: (sw[0].signs, sw[0].rack1)
-    else:
-        key = lambda sw: sw[0].rack1
-    entries = tuple(sorted(acc.items(), key=key))
+    stepper = _STEPPERS[model.family]
+    bounds = draw_bounds(model)
+    src = _Replay(bounds)
+    hits = Counter()
+    for outcome in product(*map(range, bounds)):
+        src.outcome, src.used = outcome, 0
+        hits[stepper(model, state, src)] += 1
+        if src.used != len(bounds):
+            raise RuntimeError(f"step took {src.used} draws, draw_bounds lists {bounds}")
+    units = prod(bounds)
+    by_index = lambda tw: (getattr(tw[0], "signs", 0), tw[0].rack1)
+    entries = tuple(sorted(((t, Fraction(c, units)) for t, c in hits.items()), key=by_index))
     return KernelRow(source=state, entries=entries)
-
-
-def _row_classical(model: ModelSpec, state: UrnState) -> dict:
-    n, r = model.n, model.r
-    full = (1 << n) - 1
-    w = Fraction(1, r * (n - r))
-    acc: dict[UrnState, Fraction] = {}
-    for a in bits_of(state.rack1):
-        for b in bits_of(full ^ state.rack1):
-            t = UrnState(state.rack1 ^ (1 << a) ^ (1 << b))
-            acc[t] = acc.get(t, Fraction(0)) + w
-    return acc
-
-
-def _row_variant(model: ModelSpec, state: UrnState) -> dict:
-    n, r = model.n, model.r
-    full = (1 << n) - 1
-    acc = {state: Fraction(n * n - 2 * r * (n - r), n * n)}
-    w = Fraction(2, n * n)
-    for a in bits_of(state.rack1):
-        for b in bits_of(full ^ state.rack1):
-            t = UrnState(state.rack1 ^ (1 << a) ^ (1 << b))
-            acc[t] = acc.get(t, Fraction(0)) + w
-    return acc
-
-
-def _row_independent(model: ModelSpec, state: SignedUrnState) -> dict:
-    n = model.n
-    unit = Fraction(1, 4 * n * n)
-    acc: dict[SignedUrnState, Fraction] = {}
-
-    def add(rack1, signs, units):
-        t = SignedUrnState(rack1, signs)
-        acc[t] = acc.get(t, Fraction(0)) + units * unit
-
-    for b in range(n):
-        add(state.rack1, state.signs, 2)
-        add(state.rack1, state.signs ^ (1 << b), 2)
-    for b1 in range(n):
-        for b2 in range(n):
-            if b1 == b2:
-                continue
-            rack1 = _swap_subset(state.rack1, b1, b2)
-            for f1 in (0, 1):
-                for f2 in (0, 1):
-                    add(rack1, state.signs ^ (f1 << b1) ^ (f2 << b2), 1)
-    return acc
-
-
-def _row_paired(model: ModelSpec, state: SignedUrnState) -> dict:
-    n = model.n
-    unit = Fraction(1, 2 * n * n)
-    acc: dict[SignedUrnState, Fraction] = {}
-
-    def add(rack1, signs, units):
-        t = SignedUrnState(rack1, signs)
-        acc[t] = acc.get(t, Fraction(0)) + units * unit
-
-    for b in range(n):
-        add(state.rack1, state.signs, 1)
-        add(state.rack1, state.signs ^ (1 << b), 1)
-    for b1 in range(n):
-        for b2 in range(n):
-            if b1 == b2:
-                continue
-            rack1 = _swap_subset(state.rack1, b1, b2)
-            add(rack1, state.signs, 1)
-            add(rack1, state.signs ^ (1 << b1) ^ (1 << b2), 1)
-    return acc

@@ -33,7 +33,7 @@ from .chains import (
     subset_rank,
     subset_unrank,
 )
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, step_count
 
 __all__ = [
     "SpaceCapError",
@@ -175,8 +175,8 @@ def _kernel_table(model: ModelSpec):
     integer weights units in 1/step_units(model); targets are intp, which
     bincount takes without a cast.  Target subsets are ranked among the
     sorted rack masks by searchsorted, so no state object or Fraction is
-    built per entry.  chains.kernel_row is the readable oracle this table
-    equals entry for entry.
+    built per entry.  chains.kernel_row, the sampler counted over all its
+    draws, is the oracle this table equals entry for entry.
     """
     bits = _ball_bits(model.n)
     masks, inside = _subsets(bits, model.r)
@@ -278,7 +278,7 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
 
     The yielded distributions are fresh copies and safe to keep.
     """
-    ks = sorted(set(ks))
+    ks = sorted({step_count(k) for k in ks})
     if not ks or ks[0] < 0:
         raise ValueError(f"bad step grid {ks}")
     n_states = space_size(model)

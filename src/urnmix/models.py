@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 
 
@@ -49,3 +50,11 @@ class ModelSpec:
             raise ValueError(
                 f"need 1 <= r <= n/2 (relabel racks otherwise), got n={self.n}, r={self.r}"
             )
+
+
+def step_count(k) -> int:
+    """k as a Python int; ValueError unless it is an integer (numpy ints pass)."""
+    try:
+        return operator.index(k)
+    except TypeError:
+        raise ValueError(f"step count must be an integer, got {k!r}") from None

@@ -4,7 +4,7 @@ Randomness is counter based: draw t of walker w under seed s is a 64-bit
 hash of (s, w, t), so a walker's trajectory is a pure function of (seed,
 walker id) no matter how walkers are batched or scheduled.  The vectorized
 engine here and the scalar WalkerStream consume draws in the same order
-(see chains: fixed number of draws per step per family), and therefore
+(chains.draw_bounds lists the draws of one step per family), and therefore
 produce bit-identical trajectories.
 
 The vectorized engine keeps each block of walkers as uint64 mask words,
@@ -29,7 +29,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .chains import STREAM_DRAWS_PER_STEP
+from .chains import draw_bounds
 from .exact import space_size
 from .models import Family, ModelSpec
 
@@ -218,7 +218,7 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     signs = np.zeros_like(rack) if family.signed and charges else None
     offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
     balls = _words((1 << n) - 1, width)
-    slots = STREAM_DRAWS_PER_STEP[family]
+    slots = len(draw_bounds(model))
     # per-step scratch, reused so the loop does not allocate
     draw = np.empty((slots, nb), dtype=np.uint64)
     sh1, sh2, cross, spare = np.empty((4, width, nb), dtype=np.uint64)
@@ -299,6 +299,8 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     signed = model.family.signed
     if states_path is not None and n > 64:
         raise ValueError("state streaming packs masks into 64 bits, needs n <= 64")
+    if block_size < 1:
+        raise ValueError(f"need block_size >= 1, got {block_size}")
 
     n_states = space_size(model)
     do_tv = n_states <= TV_SPACE_CAP and total >= TV_WALKER_FACTOR * n_states

@@ -174,7 +174,11 @@ def eigenvalue_sanity() -> str:
 
 @_check("kernel-rows")
 def kernel_rows() -> str:
-    """The oracle rows sum to 1 and are symmetric; the integer table equals them."""
+    """The sampler's exact rows sum to 1 and are symmetric; the integer table equals them.
+
+    kernel_row counts chains.step over all its draws, so this compares the
+    sampler itself with the independently built table.
+    """
     for model in KERNEL_ROW_GRID:
         weights = {}
         counts, targets, units = [], [], []

@@ -5,6 +5,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -326,6 +327,31 @@ def test_float_bound_rejects_entries_and_negative_k():
         bound_curve(model, [3, -1])
     with pytest.raises(ValueError):
         l2n_sq_bound(model, -1)
+
+
+def test_bounds_reject_non_integer_step_counts():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    calls = [
+        lambda: bound_curve(model, [2.5]),
+        lambda: bound_curve(model, [1, 2, 2.5]),
+        lambda: tv_upper(model, 2.5),
+        lambda: log_l2n_sq_bound(model, 2.5),
+        lambda: l2n_sq_bound(model, 2.5),
+        lambda: l2n_sq_bound(model, 2.5, exact=True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="integer"):
+            call()
+
+
+def test_bounds_accept_numpy_step_counts_and_empty_grids():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    want = l2n_sq_bound(model, 2)
+    assert l2n_sq_bound(model, np.int32(2)) == want
+    assert l2n_sq_bound(model, np.int64(2), exact=True) == l2n_sq_bound(model, 2, exact=True)
+    assert [p.l2n_sq for p in bound_curve(model, np.array([2], dtype=np.uint16))] == [want]
+    assert bound_curve(model, []) == []
+    assert bound_curve(model, np.array([])) == []
 
 
 def test_leading_l2_term():

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from urnmix import chains
 from urnmix.chains import (
-    STREAM_DRAWS_PER_STEP,
     SignedUrnState,
     UrnState,
+    draw_bounds,
     initial_state,
     kernel_row,
     step,
@@ -217,4 +217,49 @@ def test_stream_consumption_is_fixed_per_step(seed, model):
     state = initial_state(model)
     for t in range(1, 6):
         state = step(model, state, rng)
-        assert rng.draws == t * STREAM_DRAWS_PER_STEP[model.family]
+        assert rng.draws == t * len(draw_bounds(model))
+
+
+def _one_charge_paired(model, state, rng):
+    """A faulty paired step: the coin flips only the first drawn ball."""
+    n = model.n
+    b1 = int(rng.integers(n))
+    b2 = int(rng.integers(n))
+    c = int(rng.integers(2))
+    return SignedUrnState(chains._swap_subset(state.rack1, b1, b2), state.signs ^ (c << b1))
+
+
+def test_kernel_rows_check_catches_a_faulty_sampler(monkeypatch):
+    """kernel_row is counted from the stepper, so verify compares the sampler
+    itself with the independently built integer table."""
+    from urnmix import verify
+
+    assert verify.kernel_rows().ok
+    monkeypatch.setitem(chains._STEPPERS, Family.PAIRED_FLIPS, _one_charge_paired)
+    result = verify.kernel_rows()
+    assert not result.ok
+    assert "paired" in result.detail
+
+
+def _extra_draw(model, state, rng):
+    rng.integers(2)
+    return chains.step_variant(model, state, rng)
+
+
+def _wrong_bound(model, state, rng):
+    rng.integers(model.n + 1)
+    rng.integers(model.n)
+    return state
+
+
+def _short_step(model, state, rng):
+    rng.integers(model.n)
+    return state
+
+
+@pytest.mark.parametrize("stepper", [_extra_draw, _wrong_bound, _short_step])
+def test_kernel_row_rejects_draws_outside_draw_bounds(monkeypatch, stepper):
+    model = ModelSpec(Family.VARIANT, 4, 2)
+    monkeypatch.setitem(chains._STEPPERS, Family.VARIANT, stepper)
+    with pytest.raises(RuntimeError, match="draw_bounds"):
+        kernel_row(model, initial_state(model))

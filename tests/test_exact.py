@@ -81,6 +81,16 @@ def test_state_indexing_roundtrip():
     assert masks == sorted(masks)
 
 
+@pytest.mark.parametrize(
+    "model", [ModelSpec(Family.VARIANT, 6, 2), ModelSpec(Family.PAIRED_FLIPS, 4, 2)], ids=str
+)
+def test_state_at_rejects_out_of_range_indices(model):
+    size = space_size(model)
+    for index in (-1, size, size + 7):
+        with pytest.raises(ValueError):
+            state_at(model, index)
+
+
 def test_initial_state_has_index_zero():
     for family in Family:
         model = ModelSpec(family, 6, 3)
@@ -104,6 +114,22 @@ def test_evolve_one_step_equals_kernel_row():
         row = kernel_row(model, initial_state(model))
         for i, s in enumerate(enumerate_states(model)):
             assert law[i] == row.weight_to(s)
+
+
+def test_step_counts_must_be_integers():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    for exact_mode in (False, True):
+        with pytest.raises(ValueError, match="integer"):
+            evolve(model, 2.5, exact=exact_mode)
+        with pytest.raises(ValueError, match="integer"):
+            list(evolve_sequence(model, [1, 2.5], exact=exact_mode))
+        with pytest.raises(ValueError, match="integer"):
+            distance_curve(model, [2.5], exact=exact_mode)
+    # numpy integers are step counts
+    want = evolve(model, 3, exact=True)
+    got = evolve(model, np.int64(3), exact=True)
+    assert got.den == want.den and list(got.probs) == list(want.probs)
+    assert [p.k for p in distance_curve(model, np.arange(3, dtype=np.uint8))] == [0, 1, 2]
 
 
 def test_variant_2_1_mixes_in_one_step():

@@ -50,6 +50,13 @@ def test_config_validation():
         SimConfig(model, 3, 0, 0)
 
 
+@pytest.mark.parametrize("block_size", [0, -1])
+def test_run_rejects_empty_blocks(block_size):
+    cfg = SimConfig(ModelSpec(Family.VARIANT, 10, 5), 3, 1000, 1)
+    with pytest.raises(ValueError, match="block_size"):
+        run(cfg, block_size=block_size)
+
+
 def test_k0_mean_is_exactly_one():
     cfg = SimConfig(ModelSpec(Family.VARIANT, 100, 50), 0, 1000, 99)
     summary = run(cfg)
