@@ -24,9 +24,6 @@ from .catalog import (
     eig_independent,
     eig_paired,
     eig_variant,
-    nontrivial_entries,
-    signed_catalog,
-    unsigned_catalog,
 )
 from .chains import initial_state, kernel_row, step, step_units
 from .exact import distance_curve, evolve, evolve_sequence, spectrum, tv_distance
@@ -54,14 +51,11 @@ __all__ = [
     "l2n_sq_bound",
     "leading_l2_term",
     "lower_bound",
-    "nontrivial_entries",
     "run",
-    "signed_catalog",
     "spectrum",
     "step",
     "step_units",
     "theorem_k",
     "tv_distance",
     "tv_upper",
-    "unsigned_catalog",
 ]

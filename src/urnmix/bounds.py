@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from .catalog import eig_classical, nontrivial_entries
+from .catalog import eig_classical
 from .models import Family, ModelSpec, step_count
 
 __all__ = [
@@ -172,22 +172,30 @@ def _log_bounds(measure: SpectralMeasure, ks) -> np.ndarray:
 
     One logsumexp per k, over the distinct eigenvalues, in blocks of k that
     keep the temporaries near _BLOCK_BYTES.  A zero eigenvalue counts only
-    at k = 0, where the sum is the total weight.
+    at k = 0, where the sum is the total weight.  The grid is evaluated in
+    float64, exact for k below 2^53, so step counts past int64 still give a
+    value; one past the float range (about 1.8e308) raises ValueError.
     """
     ks = np.asarray(ks).reshape(-1)
     if ks.dtype.kind not in "iu":
         # a float or object grid: each entry must still be an integer
-        ks = np.array([step_count(k) for k in ks.tolist()], dtype=np.int64)
-    ks = ks.astype(np.int64, copy=False)
+        ks = [step_count(k) for k in ks.tolist()]
+    try:
+        ks = np.asarray(ks, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("a step count is past the float range") from None
     if ks.size and ks.min() < 0:
         raise ValueError(f"need k >= 0, got {int(ks.min())}")
     out = np.full(ks.shape, measure.log_total)
     moving = np.flatnonzero(ks > 0)
     rows = max(1, _BLOCK_BYTES // (8 * len(measure.log_abs)))
+    # doubling the logs rather than k gives the same bits and keeps every
+    # finite k finite
+    twice_log_abs = 2.0 * measure.log_abs
     with np.errstate(divide="ignore"):
         for start in range(0, len(moving), rows):
             at = moving[start : start + rows]
-            terms = np.multiply.outer(2.0 * ks[at], measure.log_abs)
+            terms = np.multiply.outer(ks[at], twice_log_abs)
             terms += measure.log_weight
             top = terms.max(axis=1)
             top[top == -np.inf] = 0.0  # every eigenvalue zero: the sum is 0
@@ -213,11 +221,13 @@ def log_l2n_sq_bound(model: ModelSpec, k: int) -> float:
 def _entry_numerators(model: ModelSpec, entries) -> tuple[list[int], list[int]]:
     """Nontrivial entries as (nums, weights) over _eigen_den, grouped by eigenvalue."""
     den = catalog._eigen_den(model)
+    trivial = catalog.trivial_label(model)
     grouped: dict[int, int] = {}
-    for e in nontrivial_entries(model, entries):
-        lam = e.eigenvalue
-        num = lam.numerator * (den // lam.denominator)
-        grouped[num] = grouped.get(num, 0) + e.weight
+    for e in entries:
+        if e.label != trivial:
+            lam = e.eigenvalue
+            num = lam.numerator * (den // lam.denominator)
+            grouped[num] = grouped.get(num, 0) + e.weight
     return list(grouped), list(grouped.values())
 
 
@@ -234,9 +244,10 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     Exact mode sums integers: with eigenvalues num / den over the common
     denominator den = catalog._eigen_den(model), it returns the one Fraction
     sum(weight * num^(2k)) / (4 den^(2k)).  The numerators and weights come
-    from the spectral measure, or, when precomputed catalog entries are
-    passed (to amortize the catalog over many k), from those entries,
-    grouped by eigenvalue.
+    from the spectral measure.  entries, a catalog_entries list, makes them
+    come from those rows instead, grouped by eigenvalue: the same value,
+    read from a catalog a caller already holds (the benchmark checks its
+    catalogs this way).
     """
     k = step_count(k)
     if k < 0:

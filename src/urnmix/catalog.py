@@ -11,6 +11,9 @@ are indexed by pairs of two-row shapes ([j-l, l]; [n-j-m, m]) and can repeat;
 the multiplicity is the number of admissible splits i of the r rack-1 balls
 between the two shapes.  Everything here is exact: dimensions and
 multiplicities are integers, eigenvalues are fractions.
+
+catalog_entries(model) is the one way to the rows; spectral sums read
+bounds.spectral_measure, which groups _components by eigenvalue.
 """
 
 from __future__ import annotations
@@ -22,33 +25,11 @@ from math import comb
 from .models import Family, ModelSpec
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got n={n}")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def dim_two_row(n: int, i: int) -> int:
     """Dimension C(n,i) - C(n,i-1) of the two-row component [n-i, i]."""
     if not 0 <= i <= n // 2:
         raise ValueError(f"two-row shape needs 0 <= i <= n/2, got n={n}, i={i}")
-    return binomial(n, i) - binomial(n, i - 1)
-
-
-def char_ratio_two_row(n: int, i: int) -> Fraction:
-    """Character of a transposition on [n-i, i], divided by the dimension.
-
-    Equals ((n-i)(n-i-1) + i(i-3)) / (n(n-1)).  For i = 0 this is 1, and it
-    decreases as the shape gets more balanced; [2,2] in S4 gives exactly 0.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if not 0 <= i <= n // 2:
-        raise ValueError(f"two-row shape needs 0 <= i <= n/2, got n={n}, i={i}")
-    return Fraction((n - i) * (n - i - 1) + i * (i - 3), n * (n - 1))
+    return comb(n, i) - comb(n, i - 1) if i else 1
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +37,8 @@ def char_ratio_two_row(n: int, i: int) -> Fraction:
 #
 # Each kernel is an average of transpositions (plus holds and charge flips),
 # so its eigenvalue on a component is an affine function of the character
-# ratio above.  The closed forms below are what that works out to.
+# ratio of a transposition there, ((n-i)(n-i-1) + i(i-3)) / (n(n-1)) on
+# [n-i, i].  The closed forms below are what that works out to.
 # ---------------------------------------------------------------------------
 
 
@@ -191,7 +173,7 @@ def _components(model: ModelSpec):
 
     label is (i,) for the unsigned families and (j, ell, m) for the signed
     ones; the eigenvalue is num / _eigen_den(model).  Dimensions come from
-    the binomial recurrence, never from one binomial per entry.  For signed
+    the recurrence of _two_row_dims, never from one comb per entry.  For signed
     (j, ell, m) the admissible splits i of the r rack-1 balls form the
     interval [max(ilo, r+m-(n-j)), min(ihi, r-m)], so the multiplicity is
     its length, and m runs up from 0 while that length is positive.
@@ -225,32 +207,17 @@ def _components(model: ModelSpec):
         choose = choose * rest // (j + 1)
 
 
-def unsigned_catalog(n: int, r: int, family: Family) -> list[IrrepEntry]:
-    """All components [n-i, i], i = 0..r, with kernel eigenvalues.
-
-    Every component has multiplicity 1; the dims sum to C(n,r).
-    """
-    if family not in (Family.CLASSICAL, Family.VARIANT):
-        raise ValueError(f"unsigned catalog needs an unsigned family, got {family}")
-    return catalog_entries(ModelSpec(family, n, r))
-
-
-def signed_catalog(n: int, r: int, family: Family) -> list[IrrepEntry]:
-    """All components ([j-l, l]; [n-j-m, m]) with multiplicities and eigenvalues.
-
-    For fixed (j, l, m) the multiplicity counts the admissible splits i
-    (rack-1 balls carried by the first shape): i runs over
-    max(l, r-(n-j)) .. min(r, j-l) subject to m <= min(r-i, (n-j)-(r-i)).
-    Dimensions are C(n,j) * dim[j-l,l] * dim[n-j-m,m]; the weighted dims sum
-    to 2^n * C(n,r).  Entries are ordered by (j, l, m).
-    """
-    if family not in (Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS):
-        raise ValueError(f"signed catalog needs a signed family, got {family}")
-    return catalog_entries(ModelSpec(family, n, r))
-
-
 def catalog_entries(model: ModelSpec) -> list[IrrepEntry]:
-    """Catalog for a model: the walker's components with one Fraction per distinct eigenvalue."""
+    """The component table of a model, in (i) or (j, l, m) order.
+
+    Unsigned families list [n-i, i] for i = 0..r, each once; the dims sum
+    to C(n,r).  Signed families list ([j-l, l]; [n-j-m, m]) with dimension
+    C(n,j) * dim[j-l,l] * dim[n-j-m,m] and a multiplicity that counts the
+    admissible splits i (rack-1 balls carried by the first shape): i runs
+    over max(l, r-(n-j)) .. min(r, j-l) subject to m <= min(r-i, (n-j)-(r-i)).
+    The weighted dims sum to 2^n * C(n,r).  Each distinct eigenvalue is
+    one shared Fraction.
+    """
     den = _eigen_den(model)
     label = SignedIrrep if model.family.signed else UnsignedIrrep
     lams: dict[int, Fraction] = {}
@@ -268,14 +235,6 @@ def trivial_label(model: ModelSpec) -> UnsignedIrrep | SignedIrrep:
     if model.family.signed:
         return SignedIrrep(model.n, 0, 0)
     return UnsignedIrrep(0)
-
-
-def nontrivial_entries(model: ModelSpec, entries: list[IrrepEntry] | None = None) -> list[IrrepEntry]:
-    """Catalog entries with the trivial component removed."""
-    if entries is None:
-        entries = catalog_entries(model)
-    triv = trivial_label(model)
-    return [e for e in entries if e.label != triv]
 
 
 def total_weight(entries: list[IrrepEntry]) -> int:

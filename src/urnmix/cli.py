@@ -166,9 +166,7 @@ def cmd_exact(args) -> int:
     if (args.k is None) == (args.k_grid is None):
         raise ValueError("exact needs exactly one of --k, --k-grid")
     ks = [args.k] if args.k is not None else _parse_int_grid(args.k_grid)
-    if args.rational:
-        entries = catalog.catalog_entries(model)
-    else:
+    if not args.rational:
         curve = {p.k: p.l2n_sq for p in bounds.bound_curve(model, ks)}
     lines = ["k,tv_exact,l2n_sq_exact,tv_upper,plancherel_rel_err"]
     last_dist = None
@@ -176,7 +174,7 @@ def cmd_exact(args) -> int:
         tv = exact.tv_distance(dist)
         l2 = exact.l2n_sq_distance(dist)
         if args.rational:
-            bound = bounds.l2n_sq_bound(model, k, exact=True, entries=entries)
+            bound = bounds.l2n_sq_bound(model, k, exact=True)
         else:
             bound = curve[k]
         if bound == 0:

@@ -56,11 +56,13 @@ __all__ = [
     "distribution_csv",
     "DENSE_CAP",
     "FLOAT_STATE_CAP",
+    "FLOAT_STEP_CAP",
     "RATIONAL_STATE_CAP",
     "RATIONAL_STEP_CAP",
 ]
 
 FLOAT_STATE_CAP = 10**6
+FLOAT_STEP_CAP = 10**5
 RATIONAL_STATE_CAP = 10**4
 RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
@@ -287,8 +289,11 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
             raise SpaceCapError(n_states, RATIONAL_STATE_CAP, "rational evolution state count")
         if ks[-1] > RATIONAL_STEP_CAP:
             raise SpaceCapError(ks[-1], RATIONAL_STEP_CAP, "rational step count")
-    elif n_states > FLOAT_STATE_CAP:
-        raise SpaceCapError(n_states, FLOAT_STATE_CAP, "evolution state count")
+    else:
+        if n_states > FLOAT_STATE_CAP:
+            raise SpaceCapError(n_states, FLOAT_STATE_CAP, "evolution state count")
+        if ks[-1] > FLOAT_STEP_CAP:
+            raise SpaceCapError(ks[-1], FLOAT_STEP_CAP, "evolution step count")
 
     counts, targets, units = _kernel_table(model)
     step = step_units(model)

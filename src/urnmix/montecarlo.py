@@ -31,7 +31,7 @@ import numpy as np
 
 from .chains import draw_bounds
 from .exact import space_size
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, step_count
 
 __all__ = [
     "SimConfig",
@@ -125,7 +125,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.k < 0:
+        if step_count(self.k) < 0:
             raise ValueError(f"need k >= 0, got {self.k}")
         if self.walkers < 1:
             raise ValueError(f"need walkers >= 1, got {self.walkers}")

@@ -34,6 +34,7 @@ __all__ = [
     "run_quick",
     "run_full",
     "reference_catalog",
+    "kernel_table_mismatch",
     "spectral_measure_mismatch",
     "montecarlo_replay_mismatch",
     "SPECTRUM_GRID",
@@ -172,33 +173,47 @@ def eigenvalue_sanity() -> str:
     return "unique top eigenvalue, all within [-1, 1]"
 
 
-@_check("kernel-rows")
-def kernel_rows() -> str:
-    """The sampler's exact rows sum to 1 and are symmetric; the integer table equals them.
+def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
+    """Compare an integer kernel table (counts, targets, units) with kernel_row.
 
     kernel_row counts chains.step over all its draws, so this compares the
-    sampler itself with the independently built table.
+    sampler itself with the table.  Targets must be intp; counts, targets
+    and units must equal kernel_row's rows, each weight scaled to integer
+    units of 1/step_units; and the table must be symmetric with every row
+    summing to step_units, so kernel_row's rows sum to 1 exactly.
     """
+    label = _label(model)
+    counts, targets, units = table
+    if targets.dtype != np.intp:
+        return f"{label}: kernel table targets are {targets.dtype}, not intp"
+    step = chains.step_units(model)
+    want = ([], [], [])
+    for s in exact.enumerate_states(model):
+        row = chains.kernel_row(model, s).entries
+        want[0].append(len(row))
+        for t, w in row:
+            want[1].append(exact.state_index(model, t))
+            want[2].append(w * step)
+    for name, got, expected in zip(("counts", "targets", "units"), table, want):
+        if got.tolist() != expected:
+            return f"{label}: kernel table {name} differ from kernel_row"
+    n_states = exact.space_size(model)
+    mat = np.zeros((n_states, n_states), dtype=np.int64)
+    mat[np.repeat(np.arange(n_states), counts), targets] = units
+    if not np.array_equal(mat, mat.T):
+        return f"{label}: kernel not symmetric"
+    if not np.all(mat.sum(axis=1) == step):
+        return f"{label}: kernel rows do not sum to step_units"
+    return None
+
+
+@_check("kernel-rows")
+def kernel_rows() -> str:
+    """The sampler's exact rows equal the integer table, sum to 1 and are symmetric."""
     for model in KERNEL_ROW_GRID:
-        weights = {}
-        counts, targets, units = [], [], []
-        step = chains.step_units(model)
-        for s in exact.enumerate_states(model):
-            row = chains.kernel_row(model, s)
-            if row.total() != 1:
-                raise CheckFailed(f"{model.family.value}: row sum {row.total()} != 1")
-            counts.append(len(row.entries))
-            for t, w in row.entries:
-                weights[(s, t)] = w
-                targets.append(exact.state_index(model, t))
-                units.append(w * step)
-        for (s, t), w in weights.items():
-            if weights.get((t, s), Fraction(0)) != w:
-                raise CheckFailed(f"{model.family.value}: kernel not symmetric at {s} -> {t}")
-        table = exact._kernel_table(model)
-        for name, got, want in zip(("counts", "targets", "units"), table, (counts, targets, units)):
-            if got.tolist() != want:
-                raise CheckFailed(f"{model.family.value}: kernel table {name} differ from kernel_row")
+        bad = kernel_table_mismatch(model, exact._kernel_table(model))
+        if bad:
+            raise CheckFailed(bad)
     return (
         "kernel_row rows sum to 1 exactly, kernels symmetric; "
         f"kernel table equals kernel_row on {len(KERNEL_ROW_GRID)} models"
@@ -348,11 +363,10 @@ def plancherel(kmax: int = 20) -> str:
     ks = range(1, kmax + 1)
     worst = 0.0
     for model in PLANCHEREL_GRID:
-        entries = catalog.catalog_entries(model)
         floats = exact.distance_curve(model, ks)
         for p, f in zip(exact.distance_curve(model, ks, exact=True), floats):
             at = f"{_label(model)} k={p.k}"
-            bound = bounds.l2n_sq_bound(model, p.k, exact=True, entries=entries)
+            bound = bounds.l2n_sq_bound(model, p.k, exact=True)
             if p.l2n_sq != bound:
                 raise CheckFailed(f"{at}: exact l2 distance != spectral sum")
             if p.tv * p.tv > bound:

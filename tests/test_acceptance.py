@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from urnmix import bounds, cli, exact, montecarlo, verify
+from urnmix import bounds, catalog, cli, exact, montecarlo, verify
 
 
 def report(num, result):
@@ -108,6 +108,18 @@ def test_plancherel_catches_one_unit_off(monkeypatch):
     result = verify.plancherel()
     assert not result.ok
     assert "k=7: exact l2 distance != spectral sum" in result.detail
+
+
+def test_rational_spectral_sums_never_build_the_catalog(monkeypatch, capsys):
+    # exact --rational and plancherel read the spectral measure alone
+    def no_catalog(model):
+        raise AssertionError("catalog_entries built for a spectral sum")
+
+    monkeypatch.setattr(catalog, "catalog_entries", no_catalog)
+    argv = ["exact", "--family", "paired", "--n", "4", "--r", "2", "--k-grid", "0:6:1", "--rational"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert verify.plancherel().ok
 
 
 def test_signed_marginal_catches_perturbed_marginal(monkeypatch):

@@ -185,8 +185,10 @@ def test_bound_handles_large_n_without_overflow():
 def _per_entry_bound(model, k):
     """The spectral sum one Fraction per catalog entry: the integer sum's reference."""
     total = Fraction(0)
-    for e in catalog.nontrivial_entries(model):
-        total += e.weight * e.eigenvalue ** (2 * k)
+    trivial = catalog.trivial_label(model)
+    for e in catalog.catalog_entries(model):
+        if e.label != trivial:
+            total += e.weight * e.eigenvalue ** (2 * k)
     return total / 4
 
 
@@ -278,7 +280,8 @@ def test_float_bound_accurate_at_large_n(family):
         for p in bound_curve(model, ks):
             want = sum(
                 Decimal(e.weight) * (Decimal(e.eigenvalue.numerator) / e.eigenvalue.denominator) ** (2 * p.k)
-                for e in catalog.nontrivial_entries(model)
+                for e in catalog.catalog_entries(model)
+                if e.label != catalog.trivial_label(model)
             ) / 4
             assert abs(Decimal(p.l2n_sq) / want - 1) < Decimal("1e-14")
 
@@ -352,6 +355,29 @@ def test_bounds_accept_numpy_step_counts_and_empty_grids():
     assert [p.l2n_sq for p in bound_curve(model, np.array([2], dtype=np.uint16))] == [want]
     assert bound_curve(model, []) == []
     assert bound_curve(model, np.array([])) == []
+
+
+def test_bounds_past_int64_give_values():
+    # the grid is float64: 2^64 and beyond still decay, and the -1
+    # eigenvalue of classical(2,1) never does
+    big = 10**20
+    variant = ModelSpec(Family.VARIANT, 10, 5)
+    assert [p.l2n_sq for p in bound_curve(variant, [big])] == [0.0]
+    assert tv_upper(variant, big) == 0.0
+    assert l2n_sq_bound(ModelSpec(Family.CLASSICAL, 2, 1), big) == 0.25
+    want = 2 * big * math.log(0.8) + math.log(9 / 4)
+    assert math.isclose(log_l2n_sq_bound(variant, big), want, rel_tol=1e-12)
+
+
+def test_bounds_reject_step_counts_past_the_float_range():
+    model = ModelSpec(Family.VARIANT, 10, 5)
+    for call in (
+        lambda: bound_curve(model, [10**400]),
+        lambda: l2n_sq_bound(model, 10**400),
+        lambda: log_l2n_sq_bound(model, 10**400),
+    ):
+        with pytest.raises(ValueError, match="float range"):
+            call()
 
 
 def test_leading_l2_term():

@@ -1,6 +1,6 @@
 """Component catalog: dimensions, multiplicities, eigenvalues."""
 
-import itertools
+import math
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -12,39 +12,17 @@ from urnmix import catalog
 from urnmix.catalog import (
     SignedIrrep,
     UnsignedIrrep,
-    binomial,
     catalog_entries,
-    char_ratio_two_row,
     dim_two_row,
     eig_classical,
     eig_independent,
     eig_paired,
     eig_variant,
-    nontrivial_entries,
-    signed_catalog,
     total_weight,
     trivial_label,
-    unsigned_catalog,
 )
 from urnmix.models import Family, ModelSpec
 from urnmix.verify import reference_catalog
-
-
-def test_binomial_values():
-    assert binomial(0, 0) == 1
-    assert binomial(4, 2) == 6
-    assert binomial(10, 3) == 120
-    assert binomial(30, 15) == 155117520
-    assert binomial(5, 7) == 0
-    assert binomial(5, -1) == 0
-    assert binomial(4, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-@given(st.integers(1, 60), st.integers(0, 60))
-def test_binomial_pascal_rule(n, k):
-    assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 def test_dim_two_row():
@@ -53,44 +31,7 @@ def test_dim_two_row():
     assert dim_two_row(4, 1) == 3
     assert dim_two_row(4, 2) == 2
     assert dim_two_row(6, 3) == 5
-    assert dim_two_row(14, 7) == binomial(14, 7) - binomial(14, 6)
-
-
-def _fix_count(perm, size):
-    """Number of size-element subsets mapped to themselves by perm."""
-    n = len(perm)
-    return sum(
-        1
-        for sub in itertools.combinations(range(n), size)
-        if set(perm[i] for i in sub) == set(sub)
-    )
-
-
-def _char_two_row(n, i, perm):
-    """Character of the [n-i, i] component at perm, via fixed-subset counts.
-
-    The permutation action on i-subsets has character fix_i and splits as
-    the sum of the [n-j, j] components for j <= i, so the character we want
-    is the difference of consecutive fixed-subset counts.
-    """
-    hi = _fix_count(perm, i)
-    lo = _fix_count(perm, i - 1) if i >= 1 else 0
-    return hi - lo
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_char_ratio_against_fix_count_oracle(n):
-    """char_ratio equals character-at-a-transposition over dimension."""
-    swap = tuple([1, 0] + list(range(2, n)))
-    for i in range(0, n // 2 + 1):
-        chi = _char_two_row(n, i, swap)
-        dim = dim_two_row(n, i)
-        assert char_ratio_two_row(n, i) == Fraction(chi, dim)
-
-
-def test_char_ratio_vanishes_at_4_2():
-    # [2,2] at n=4: the transposition character is 0, not a sign
-    assert char_ratio_two_row(4, 2) == 0
+    assert dim_two_row(14, 7) == math.comb(14, 7) - math.comb(14, 6)
 
 
 def test_eigenvalue_formulas():
@@ -125,18 +66,18 @@ def test_independent_eigenvalues_in_unit_interval(n, data):
 
 
 def test_unsigned_catalog_variant_4_2():
-    entries = unsigned_catalog(4, 2, Family.VARIANT)
+    entries = catalog_entries(ModelSpec(Family.VARIANT, 4, 2))
     assert [(e.label.i, e.dim, e.mult) for e in entries] == [
         (0, 1, 1),
         (1, 3, 1),
         (2, 2, 1),
     ]
     assert [e.eigenvalue for e in entries] == [1, Fraction(1, 2), Fraction(1, 4)]
-    assert total_weight(entries) == binomial(4, 2)
+    assert total_weight(entries) == math.comb(4, 2)
 
 
 def test_signed_catalog_independent_2_1():
-    entries = signed_catalog(2, 1, Family.INDEPENDENT_FLIPS)
+    entries = catalog_entries(ModelSpec(Family.INDEPENDENT_FLIPS, 2, 1))
     got = [(e.label.j, e.label.ell, e.label.m, e.dim, e.mult, e.eigenvalue) for e in entries]
     assert got == [
         (0, 0, 0, 1, 1, Fraction(0)),
@@ -145,11 +86,11 @@ def test_signed_catalog_independent_2_1():
         (2, 0, 0, 1, 1, Fraction(1)),
         (2, 1, 0, 1, 1, Fraction(0)),
     ]
-    assert total_weight(entries) == 2**2 * binomial(2, 1)
+    assert total_weight(entries) == 2**2 * math.comb(2, 1)
 
 
 def test_unsigned_catalog_classical_2_1():
-    entries = unsigned_catalog(2, 1, Family.CLASSICAL)
+    entries = catalog_entries(ModelSpec(Family.CLASSICAL, 2, 1))
     assert [(e.label.i, e.dim, e.eigenvalue) for e in entries] == [
         (0, 1, Fraction(1)),
         (1, 1, Fraction(-1)),
@@ -157,7 +98,7 @@ def test_unsigned_catalog_classical_2_1():
 
 
 def test_signed_catalog_paired_2_1_eigenvalues():
-    entries = signed_catalog(2, 1, Family.PAIRED_FLIPS)
+    entries = catalog_entries(ModelSpec(Family.PAIRED_FLIPS, 2, 1))
     by_label = {(e.label.j, e.label.ell, e.label.m): e.eigenvalue for e in entries}
     assert by_label == {
         (2, 0, 0): Fraction(1),
@@ -166,11 +107,6 @@ def test_signed_catalog_paired_2_1_eigenvalues():
         (0, 0, 1): Fraction(-1, 2),
         (2, 1, 0): Fraction(0),
     }
-
-
-def test_char_ratio_literal_values():
-    assert char_ratio_two_row(4, 0) == 1
-    assert char_ratio_two_row(4, 1) == Fraction(1, 3)
 
 
 def test_partition_labels():
@@ -183,16 +119,16 @@ def test_partition_labels():
 @pytest.mark.parametrize("n", range(2, 15))
 def test_dimension_identity_unsigned(n):
     for r in range(1, n // 2 + 1):
-        entries = unsigned_catalog(n, r, Family.VARIANT)
-        assert total_weight(entries) == binomial(n, r)
+        entries = catalog_entries(ModelSpec(Family.VARIANT, n, r))
+        assert total_weight(entries) == math.comb(n, r)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 @pytest.mark.parametrize("family", [Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS])
 def test_dimension_identity_signed(n, family):
     for r in range(1, n // 2 + 1):
-        entries = signed_catalog(n, r, family)
-        assert total_weight(entries) == 2**n * binomial(n, r)
+        entries = catalog_entries(ModelSpec(family, n, r))
+        assert total_weight(entries) == 2**n * math.comb(n, r)
         assert all(e.dim > 0 and e.mult > 0 for e in entries)
 
 
@@ -208,7 +144,7 @@ def test_trivial_component_unique_top_eigenvalue(family):
             assert any(e.eigenvalue == -1 for e in entries)
         assert [e.label for e in ones] == [top]
         assert all(abs(e.eigenvalue) <= 1 for e in entries)
-        nontriv = nontrivial_entries(model, entries)
+        nontriv = [e for e in entries if e.label != top]
         assert len(nontriv) == len(entries) - 1
         assert top not in [e.label for e in nontriv]
 
@@ -253,7 +189,7 @@ def test_signed_catalog_equals_reference_formulas(family):
 
 def test_catalog_large_unsigned_dims_from_recurrence():
     # the recurrence must stay exact far past the float range
-    entries = unsigned_catalog(3000, 1500, Family.VARIANT)
+    entries = catalog_entries(ModelSpec(Family.VARIANT, 3000, 1500))
     assert entries[1].dim == 2999
-    assert entries[-1].dim == binomial(3000, 1500) - binomial(3000, 1499)
-    assert total_weight(entries) == binomial(3000, 1500)
+    assert entries[-1].dim == math.comb(3000, 1500) - math.comb(3000, 1499)
+    assert total_weight(entries) == math.comb(3000, 1500)

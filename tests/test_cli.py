@@ -90,6 +90,24 @@ def test_exact_space_cap_exit(capsys):
     assert "cap" in err
 
 
+def test_exact_float_step_cap_exit(capsys):
+    code, _, err = run_cli(
+        capsys, "exact", "--family", "variant", "--n", "6", "--r", "3", "--k", "1000000000000"
+    )
+    assert code == 3
+    assert "step count" in err
+
+
+def test_bounds_past_int64_and_past_the_float_range(capsys):
+    args = ["bounds", "--family", "variant", "--n", "10", "--r", "5", "--k"]
+    code, out, err = run_cli(capsys, *args, "100000000000000000000")
+    assert code == 0
+    assert out.splitlines()[1] == "100000000000000000000,0,0,0"
+    code, out, err = run_cli(capsys, *args, str(10**400))
+    assert code == 2
+    assert "Traceback" not in err and "float range" in err
+
+
 def _kernel_row_law(model, k):
     """The k-step law as one Fraction per state, stepping kernel_row rows."""
     law = {initial_state(model): Fraction(1)}

@@ -32,6 +32,7 @@ from urnmix.exact import (
     _kernel_table,
 )
 from urnmix.models import Family, ModelSpec
+from urnmix.verify import kernel_table_mismatch
 
 
 def _law(dist):
@@ -356,6 +357,8 @@ def test_space_caps(monkeypatch):
     with pytest.raises(SpaceCapError):
         evolve(ModelSpec(Family.VARIANT, 6, 3), 51, exact=True)  # step cap
     with pytest.raises(SpaceCapError):
+        evolve(ModelSpec(Family.VARIANT, 6, 3), exact.FLOAT_STEP_CAP + 1)  # float step cap
+    with pytest.raises(SpaceCapError):
         spectrum(ModelSpec(Family.VARIANT, 16, 8))  # dense cap
     err = None
     try:
@@ -380,39 +383,6 @@ def test_distribution_csv_roundtrip():
 # -- the integer kernel table against the kernel_row oracle ---------------------
 
 
-def _oracle_table(model):
-    """(counts, targets, units) built from kernel_row, one state at a time."""
-    units_per_step = step_units(model)
-    counts, targets, units = [], [], []
-    for state in enumerate_states(model):
-        entries = kernel_row(model, state).entries
-        counts.append(len(entries))
-        for t, w in entries:
-            scaled = w * units_per_step
-            assert scaled.denominator == 1
-            targets.append(state_index(model, t))
-            units.append(scaled.numerator)
-    return np.array(counts), np.array(targets), np.array(units)
-
-
-def _table_mismatch(model, table):
-    """None when table equals the oracle, is symmetric and sums rows to step_units."""
-    counts, targets, units = table
-    if targets.dtype != np.intp:
-        return f"targets are {targets.dtype}, not intp"
-    for name, got, want in zip(("counts", "targets", "units"), table, _oracle_table(model)):
-        if not np.array_equal(got, want):
-            return f"{name} differ from the oracle"
-    n_states = space_size(model)
-    mat = np.zeros((n_states, n_states), dtype=np.int64)
-    mat[np.repeat(np.arange(n_states), counts), targets] = units
-    if not np.array_equal(mat, mat.T):
-        return "table is not symmetric"
-    if not np.all(mat.sum(axis=1) == step_units(model)):
-        return "row sums differ from step_units"
-    return None
-
-
 EDGE_SHAPES = [
     (Family.CLASSICAL, 2, 1),
     (Family.VARIANT, 2, 1),
@@ -430,7 +400,7 @@ EDGE_SHAPES = [
 @pytest.mark.parametrize("family,n,r", EDGE_SHAPES)
 def test_kernel_table_equals_oracle(family, n, r):
     model = ModelSpec(family, n, r)
-    assert _table_mismatch(model, _kernel_table(model)) is None
+    assert kernel_table_mismatch(model, _kernel_table(model)) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -444,7 +414,7 @@ def test_kernel_table_equals_oracle_property(family, n, data):
         n = min(n, 5)
     r = data.draw(st.integers(min_value=1, max_value=n // 2))
     model = ModelSpec(family, n, r)
-    assert _table_mismatch(model, _kernel_table(model)) is None
+    assert kernel_table_mismatch(model, _kernel_table(model)) is None
 
 
 def test_kernel_table_check_catches_one_target_off_by_one():
@@ -454,7 +424,7 @@ def test_kernel_table_check_catches_one_target_off_by_one():
         for pos in (0, len(targets) // 2, len(targets) - 1):
             bad = targets.copy()
             bad[pos] += 1 if bad[pos] == 0 else -1
-            assert _table_mismatch(model, (counts, bad, units)) is not None
+            assert kernel_table_mismatch(model, (counts, bad, units)) is not None
 
 
 def test_kernel_table_rows_above_62_balls():

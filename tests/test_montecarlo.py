@@ -50,6 +50,13 @@ def test_config_validation():
         SimConfig(model, 3, 0, 0)
 
 
+def test_config_step_count_must_be_an_integer():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    with pytest.raises(ValueError, match="integer"):
+        SimConfig(model, 2.5, 10, 0)
+    assert run(SimConfig(model, np.int64(3), 10, 0)).mean_s1 == run(SimConfig(model, 3, 10, 0)).mean_s1
+
+
 @pytest.mark.parametrize("block_size", [0, -1])
 def test_run_rejects_empty_blocks(block_size):
     cfg = SimConfig(ModelSpec(Family.VARIANT, 10, 5), 3, 1000, 1)
