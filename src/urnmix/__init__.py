@@ -10,52 +10,33 @@ bounds and a matching lower bound for the variant chain, and vectorized
 Monte Carlo with a counter-based deterministic stream.
 """
 
-from .bounds import (
-    bound_curve,
-    l2n_sq_bound,
-    leading_l2_term,
-    lower_bound,
-    theorem_k,
-    tv_upper,
-)
-from .catalog import (
-    catalog_entries,
-    eig_classical,
-    eig_independent,
-    eig_paired,
-    eig_variant,
-)
-from .chains import initial_state, kernel_row, step, step_units
-from .exact import distance_curve, evolve, evolve_sequence, spectrum, tv_distance
-from .models import Family, ModelSpec
-from .montecarlo import SimConfig, WalkerStream, run
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Family",
-    "ModelSpec",
-    "SimConfig",
-    "WalkerStream",
-    "bound_curve",
-    "catalog_entries",
-    "distance_curve",
-    "eig_classical",
-    "eig_independent",
-    "eig_paired",
-    "eig_variant",
-    "evolve",
-    "evolve_sequence",
-    "initial_state",
-    "kernel_row",
-    "l2n_sq_bound",
-    "leading_l2_term",
-    "lower_bound",
-    "run",
-    "spectrum",
-    "step",
-    "step_units",
-    "theorem_k",
-    "tv_distance",
-    "tv_upper",
-]
+# Each export lives in its home submodule and is imported on first use (PEP
+# 562), so `import urnmix` and the numpy-free subcommands never load numpy.
+_HOMES = {
+    "bounds": ("bound_curve", "l2n_sq_bound", "leading_l2_term", "lower_bound", "theorem_k", "tv_upper"),
+    "catalog": ("catalog_entries", "eig_classical", "eig_independent", "eig_paired", "eig_variant"),
+    "chains": ("initial_state", "kernel_row", "step", "step_units"),
+    "exact": ("distance_curve", "evolve", "evolve_sequence", "spectrum", "tv_distance"),
+    "models": ("Family", "ModelSpec"),
+    "montecarlo": ("SimConfig", "WalkerStream", "run"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import catalog
 from .catalog import eig_classical
-from .models import Family, ModelSpec, step_count
+from .models import Family, ModelSpec, SpaceCapError, step_count
 
 __all__ = [
     "BoundCurvePoint",
@@ -46,12 +46,22 @@ __all__ = [
     "lower_bound",
     "crossover_f",
     "GUARANTEE_CONSTANT",
+    "EXACT_SUM_BIT_CAP",
 ]
 
 # 1 - GUARANTEE_CONSTANT * exp(-c) lower-bounds total variation at the
 # threshold step count.  It collapses the sharper 1 - 54 e^-c - 1512 e^-2c
 # guarantee: for c >= 0, 54 + 1512 e^-c <= 1566.
 GUARANTEE_CONSTANT = 1566
+
+# Bits allowed in the denominator 4 * den^(2k) of an exact spectral sum,
+# estimated as 2k * den.bit_length() before any power is taken.  The largest
+# sums in use are the n = 200 variant cutoff checks at k = 358, 359 (den =
+# 40000, 16 bits: 11,488); exact evolution stops at RATIONAL_STEP_CAP = 50
+# steps and 10^4 states (at most 2 * 50 * 27 = 2,700 bits).  A sum at the cap
+# costs about 0.4 ms per distinct eigenvalue (0.8 s for the 2,096 of
+# paired(64,32)); variant(10,5) at k = 10^5 would need 1.4 million bits.
+EXACT_SUM_BIT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,8 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     from the spectral measure.  entries, a catalog_entries list, makes them
     come from those rows instead, grouped by eigenvalue: the same value,
     read from a catalog a caller already holds (the benchmark checks its
-    catalogs this way).
+    catalogs this way).  SpaceCapError when the denominator would need more
+    than EXACT_SUM_BIT_CAP bits.
     """
     k = step_count(k)
     if k < 0:
@@ -256,6 +267,10 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
         if entries is not None:
             raise ValueError("entries apply to exact mode; use bound_curve for float sweeps")
         return _from_log(log_l2n_sq_bound(model, k))
+    den = catalog._eigen_den(model)
+    bits = 2 * k * den.bit_length()
+    if bits > EXACT_SUM_BIT_CAP:
+        raise SpaceCapError(bits, EXACT_SUM_BIT_CAP, "exact spectral sum denominator bits")
     if entries is None:
         measure = spectral_measure(model)
         nums, weights = measure.nums, measure.weights
@@ -263,7 +278,7 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
         nums, weights = _entry_numerators(model, entries)
     power = 2 * k
     total = sum(w * num**power for num, w in zip(nums, weights))
-    return Fraction(total, 4 * catalog._eigen_den(model) ** power)
+    return Fraction(total, 4 * den**power)
 
 
 def tv_upper(model: ModelSpec, k: int) -> float:

@@ -18,13 +18,17 @@ import os
 import sys
 import time
 
-from . import __version__, bounds, catalog, exact, montecarlo
-from .models import Family, ModelSpec
+# numpy-backed modules are imported by the subcommands that call them, so
+# catalog and usage errors start without numpy
+from . import __version__, catalog
+from .models import Family, ModelSpec, SpaceCapError, space_size
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+MAX_THREADS = 64
 
 
 def _fmt(x) -> str:
@@ -54,6 +58,16 @@ def _parse_float_grid(spec: str) -> list[float]:
         out.append(round(v, 12))
         v += s
     return out
+
+
+def _thread_count(text: str) -> int:
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if not 1 <= threads <= MAX_THREADS:
+        raise argparse.ArgumentTypeError(f"need an integer from 1 to {MAX_THREADS}, got {text!r}")
+    return threads
 
 
 def _resolve_seed(args) -> int:
@@ -112,7 +126,7 @@ def cmd_catalog(args) -> int:
     total = catalog.total_weight(entries)
     lines.append(
         f"{model.family.value},{model.n},{model.r},TOTAL,"
-        f"{total},{exact.space_size(model)},,"
+        f"{total},{space_size(model)},,"
     )
     _emit(args, "catalog", "\n".join(lines) + "\n", model=model, t0=t0)
     return EXIT_OK
@@ -120,6 +134,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
+    from . import bounds
+
     model = _model_of(args)
     modes = [m for m in (args.k, args.k_grid, args.c, args.c_grid) if m is not None]
     if len(modes) != 1:
@@ -162,6 +178,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_exact(args) -> int:
     t0 = time.perf_counter()
+    from . import bounds, exact
+
     model = _model_of(args)
     if (args.k is None) == (args.k_grid is None):
         raise ValueError("exact needs exactly one of --k, --k-grid")
@@ -201,6 +219,8 @@ def cmd_exact(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    from . import montecarlo
+
     model = _model_of(args)
     seed = _resolve_seed(args)
     cfg = montecarlo.SimConfig(model=model, k=args.k, walkers=args.walkers, seed=seed)
@@ -235,7 +255,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    # imported here so that the other subcommands do not load the suites
     from . import verify
 
     report = verify.run_quick() if args.level == "quick" else verify.run_full()
@@ -269,9 +288,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the result here instead of stdout")
         p.add_argument(
             "--threads",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="recorded in the manifest; all computation runs on one thread",
+            type=_thread_count,
+            default=min(os.cpu_count() or 1, MAX_THREADS),
+            help=f"1..{MAX_THREADS}, recorded in the manifest; all computation runs on one thread",
         )
 
     p = sub.add_parser("catalog", help="component catalog as CSV")
@@ -318,7 +337,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except exact.SpaceCapError as e:
+    except SpaceCapError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_RESOURCE
     except (ValueError, OSError) as e:

@@ -33,7 +33,7 @@ from .chains import (
     subset_rank,
     subset_unrank,
 )
-from .models import Family, ModelSpec, step_count
+from .models import Family, ModelSpec, SpaceCapError, space_size, step_count
 
 __all__ = [
     "SpaceCapError",
@@ -69,23 +69,6 @@ DENSE_CAP = 4096
 
 # kernel entries per block when the float weights are made
 _CONVERT_BLOCK = 1 << 14
-
-
-class SpaceCapError(RuntimeError):
-    """The computation is larger than the requested resource cap."""
-
-    def __init__(self, required: int, cap: int, what: str):
-        self.required = required
-        self.cap = cap
-        super().__init__(f"{what} needs {required} but the cap is {cap}")
-
-
-def space_size(model: ModelSpec) -> int:
-    """C(n,r) arrangements, times 2^n charge words for signed families."""
-    base = comb(model.n, model.r)
-    if model.family.signed:
-        return (1 << model.n) * base
-    return base
 
 
 def state_index(model: ModelSpec, state) -> int:

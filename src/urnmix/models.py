@@ -1,10 +1,11 @@
-"""Chain family definitions and model parameters."""
+"""Chain family definitions, model parameters and the state-space size."""
 
 from __future__ import annotations
 
 import enum
 import operator
 from dataclasses import dataclass
+from math import comb
 
 
 class Family(enum.Enum):
@@ -50,6 +51,23 @@ class ModelSpec:
             raise ValueError(
                 f"need 1 <= r <= n/2 (relabel racks otherwise), got n={self.n}, r={self.r}"
             )
+
+
+class SpaceCapError(RuntimeError):
+    """The computation is larger than the requested resource cap."""
+
+    def __init__(self, required: int, cap: int, what: str):
+        self.required = required
+        self.cap = cap
+        super().__init__(f"{what} needs {required} but the cap is {cap}")
+
+
+def space_size(model: ModelSpec) -> int:
+    """C(n,r) arrangements, times 2^n charge words for signed families."""
+    base = comb(model.n, model.r)
+    if model.family.signed:
+        return (1 << model.n) * base
+    return base
 
 
 def step_count(k) -> int:

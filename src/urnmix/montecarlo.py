@@ -30,8 +30,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .chains import draw_bounds
-from .exact import space_size
-from .models import Family, ModelSpec, step_count
+from .models import Family, ModelSpec, space_size, step_count
 
 __all__ = [
     "SimConfig",

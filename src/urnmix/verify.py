@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, catalog, chains, exact, montecarlo
 from .exact import _label
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, space_size
 
 __all__ = [
     "CheckResult",
@@ -197,7 +197,7 @@ def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
     for name, got, expected in zip(("counts", "targets", "units"), table, want):
         if got.tolist() != expected:
             return f"{label}: kernel table {name} differ from kernel_row"
-    n_states = exact.space_size(model)
+    n_states = space_size(model)
     mat = np.zeros((n_states, n_states), dtype=np.int64)
     mat[np.repeat(np.arange(n_states), counts), targets] = units
     if not np.array_equal(mat, mat.T):

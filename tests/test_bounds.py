@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from urnmix.bounds import (
     variance_ratio,
 )
 from urnmix.chains import UrnState, initial_state
-from urnmix.models import Family, ModelSpec
+from urnmix.models import Family, ModelSpec, SpaceCapError
 
 
 # --- character-sum oracle for spherical functions ------------------------
@@ -378,6 +379,23 @@ def test_bounds_reject_step_counts_past_the_float_range():
     ):
         with pytest.raises(ValueError, match="float range"):
             call()
+
+
+def test_exact_sum_is_capped_by_size_before_any_power():
+    model = ModelSpec(Family.VARIANT, 10, 5)  # den = 100, 7 bits
+    entries = catalog.catalog_entries(model)
+    top = bounds.EXACT_SUM_BIT_CAP // 14  # the largest k whose 2k * 7 bits fit
+    assert l2n_sq_bound(model, top, exact=True) == l2n_sq_bound(model, top, exact=True, entries=entries)
+    for k in (top + 1, 10**5, 10**20):
+        t0 = time.perf_counter()
+        for call in (lambda: l2n_sq_bound(model, k, exact=True),
+                     lambda: l2n_sq_bound(model, k, exact=True, entries=entries)):
+            with pytest.raises(SpaceCapError) as info:
+                call()
+            assert info.value.required == 2 * k * 7
+            assert info.value.cap == bounds.EXACT_SUM_BIT_CAP
+        # the uncapped sum at k = 10^5 took about 3 s
+        assert time.perf_counter() - t0 < 0.5
 
 
 def test_leading_l2_term():

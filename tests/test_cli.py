@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from urnmix import cli, verify
+from urnmix import bounds, cli, verify
 from urnmix.chains import initial_state, kernel_row
 from urnmix.exact import enumerate_states
 from urnmix.models import Family, ModelSpec
@@ -255,6 +255,68 @@ def test_import_leaves_verify_unloaded():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# Runs a CLI invocation as `python -m urnmix.cli` would, then reports whether
+# numpy was loaded; the last stdout line is that answer.
+NUMPY_PROBE = """
+import runpy, sys
+sys.argv = ["urnmix", *sys.argv[1:]]
+try:
+    runpy.run_module("urnmix.cli", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "probe,argv,want",
+    [
+        ("import sys, urnmix; print(0, 'numpy' in sys.modules)", [], "0 False"),
+        (NUMPY_PROBE, ["catalog", "--family", "paired", "--n", "5", "--r", "2"], "0 False"),
+        (NUMPY_PROBE, ["catalog", "--family", "paired", "--n", "5"], "2 False"),
+        # the subcommands that compute with numpy do load it
+        (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "4", "--r", "2", "--k", "1"], "0 True"),
+    ],
+    ids=["import", "catalog", "usage-error", "bounds"],
+)
+def test_start_up_is_numpy_free(probe, argv, want):
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *argv], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.stdout.splitlines()[-1:] == [want], done.stderr
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "65", "1000000", "two"])
+def test_threads_out_of_range_is_usage_error(threads, capsys):
+    code, out, err = run_cli(
+        capsys, "catalog", "--family", "variant", "--n", "4", "--r", "2", "--threads", threads
+    )
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
+def test_exact_rational_sum_cap_exit(capsys, monkeypatch):
+    # den = 16 (5 bits): k = 4 needs 40 bits and fits, k = 5 needs 50
+    monkeypatch.setattr(bounds, "EXACT_SUM_BIT_CAP", 40)
+    code, out, err = run_cli(
+        capsys, "exact", "--family", "variant", "--n", "4", "--r", "2", "--k-grid", "0:5:1", "--rational"
+    )
+    assert code == 3
+    assert out == ""
+    assert "needs 50 but the cap is 40" in err
+
+
+def test_bounds_sum_cap_exit(capsys, monkeypatch):
+    # no bounds mode takes an exact sum: stand one in for the sweep
+    monkeypatch.setattr(bounds, "bound_curve", lambda model, ks: bounds.l2n_sq_bound(model, 10**5, exact=True))
+    code, out, err = run_cli(capsys, "bounds", "--family", "variant", "--n", "10", "--r", "5", "--k", "1")
+    assert code == 3
+    assert out == ""
+    assert "cap" in err
 
 
 def test_simulate_seed_env_fallback(capsys, monkeypatch):
