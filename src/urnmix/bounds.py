@@ -20,7 +20,7 @@ cross-checks and rational curves.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +47,7 @@ __all__ = [
     "crossover_f",
     "GUARANTEE_CONSTANT",
     "EXACT_SUM_BIT_CAP",
+    "EXACT_SUM_TOTAL_CAP",
 ]
 
 # 1 - GUARANTEE_CONSTANT * exp(-c) lower-bounds total variation at the
@@ -58,10 +59,14 @@ GUARANTEE_CONSTANT = 1566
 # estimated as 2k * den.bit_length() before any power is taken.  The largest
 # sums in use are the n = 200 variant cutoff checks at k = 358, 359 (den =
 # 40000, 16 bits: 11,488); exact evolution stops at RATIONAL_STEP_CAP = 50
-# steps and 10^4 states (at most 2 * 50 * 27 = 2,700 bits).  A sum at the cap
-# costs about 0.4 ms per distinct eigenvalue (0.8 s for the 2,096 of
-# paired(64,32)); variant(10,5) at k = 10^5 would need 1.4 million bits.
+# steps and 10^4 states (at most 2 * 50 * 27 = 2,700 bits).  variant(10,5) at
+# k = 10^5 would need 1.4 million bits.
 EXACT_SUM_BIT_CAP = 1 << 16
+
+# Bits over all terms: the bits above times the distinct eigenvalues, 256 terms
+# at EXACT_SUM_BIT_CAP.  The n = 200 cutoff sum has 100 (1.15e6 bits);
+# paired(64,32) at k = 2,520 has 2,096 (1.4e8) and took 1 s on 2 vCPUs.
+EXACT_SUM_TOTAL_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ def spectral_measure(model: ModelSpec) -> SpectralMeasure:
     if model.family is Family.INDEPENDENT_FLIPS:
         grouped = _independent_weights(model.n, model.r)
     else:
-        trivial = astuple(catalog.trivial_label(model))
+        trivial = catalog.trivial_label(model)
         grouped = {}
         for label, dim, mult, num in catalog._components(model):
             if label != trivial:
@@ -258,7 +263,7 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     come from those rows instead, grouped by eigenvalue: the same value,
     read from a catalog a caller already holds (the benchmark checks its
     catalogs this way).  SpaceCapError when the denominator would need more
-    than EXACT_SUM_BIT_CAP bits.
+    than EXACT_SUM_BIT_CAP bits, or all its terms more than EXACT_SUM_TOTAL_CAP.
     """
     k = step_count(k)
     if k < 0:
@@ -276,6 +281,8 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
         nums, weights = measure.nums, measure.weights
     else:
         nums, weights = _entry_numerators(model, entries)
+    if bits * len(nums) > EXACT_SUM_TOTAL_CAP:
+        raise SpaceCapError(bits * len(nums), EXACT_SUM_TOTAL_CAP, "exact spectral sum bits over all terms")
     power = 2 * k
     total = sum(w * num**power for num, w in zip(nums, weights))
     return Fraction(total, 4 * den**power)

@@ -13,14 +13,15 @@ between the two shapes.  Everything here is exact: dimensions and
 multiplicities are integers, eigenvalues are fractions.
 
 catalog_entries(model) is the one way to the rows; spectral sums read
-bounds.spectral_measure, which groups _components by eigenvalue.
+bounds.spectral_measure, which groups _components by eigenvalue.  Labels
+and rows are named tuples, equal to the index tuples of _components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .models import Family, ModelSpec
 
@@ -105,9 +106,8 @@ def eig_paired(n: int, j: int, ell: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnsignedIrrep:
-    """Label of the two-row component [n-i, i]."""
+class UnsignedIrrep(NamedTuple):
+    """Label of the two-row component [n-i, i]: the index tuple (i,)."""
 
     i: int
 
@@ -117,9 +117,8 @@ class UnsignedIrrep:
         return f"[{n - self.i},{self.i}]"
 
 
-@dataclass(frozen=True)
-class SignedIrrep:
-    """Label ([j-ell, ell]; [n-j-m, m]) of a signed component."""
+class SignedIrrep(NamedTuple):
+    """Label ([j-ell, ell]; [n-j-m, m]) of a signed component: the tuple (j, ell, m)."""
 
     j: int
     ell: int
@@ -137,9 +136,8 @@ def _two_row_str(total: int, second: int) -> str:
     return f"[{total - second},{second}]"
 
 
-@dataclass(frozen=True)
-class IrrepEntry:
-    """One component: its label, dimension, multiplicity, and eigenvalue."""
+class IrrepEntry(NamedTuple):
+    """One component: the row (label, dim, mult, eigenvalue)."""
 
     label: UnsignedIrrep | SignedIrrep
     dim: int
@@ -226,7 +224,7 @@ def catalog_entries(model: ModelSpec) -> list[IrrepEntry]:
         lam = lams.get(num)
         if lam is None:
             lam = lams[num] = Fraction(num, den)
-        entries.append(IrrepEntry(label=label(*idx), dim=dim, mult=mult, eigenvalue=lam))
+        entries.append(IrrepEntry(label._make(idx), dim, mult, lam))
     return entries
 
 

@@ -5,17 +5,19 @@ ball b+1).  Signed states also carry an n-bit charge mask, indexed by ball
 label, so swapping two balls never touches the charge word; only explicit
 flips do.
 
-Samplers draw from any source with an ``integers(n)`` method returning a
-uniform value in [0, n).  draw_bounds gives the bound of each draw one step
-takes, in order, so that a trajectory is a pure function of the stream:
+step, the one sampler, draws from any source with an ``integers(n)`` method
+returning a uniform value in [0, n).  draw_bounds gives the bound of each
+draw one step takes, in order, so that a trajectory is a pure function of
+the stream:
 
     classical    (r, n-r)      index on rack 1, index on rack 2
     variant      (n, n)        ball, ball
     independent  (n, n, 2, 2)  ball, ball, coin, coin  (coins always consumed)
     paired       (n, n, 2)     ball, ball, coin
 
-For the independent family with equal ball draws the second coin is consumed
-and discarded, keeping the stride constant.  A step has step_units(model),
+Both signed families take one stepper, which tosses the second coin for
+independent flips only; with equal ball draws that coin is consumed and
+discarded, keeping the stride constant.  A step has step_units(model),
 the product of its draw bounds, equally likely outcomes; kernel_row counts
 the stepper's targets over all of them, so the exact law is the sampler's.
 """
@@ -35,10 +37,6 @@ __all__ = [
     "SignedUrnState",
     "KernelRow",
     "initial_state",
-    "step_classical",
-    "step_variant",
-    "step_independent_flips",
-    "step_paired_flips",
     "step",
     "kernel_row",
     "draw_bounds",
@@ -139,7 +137,7 @@ def _swap_subset(rack1: int, b1: int, b2: int) -> int:
     return rack1
 
 
-def step_classical(model: ModelSpec, state: UrnState, rng) -> UrnState:
+def _step_classical(model: ModelSpec, state: UrnState, rng) -> UrnState:
     """Pick one ball on each rack uniformly and trade their places."""
     _check_state(model, state)
     n, r = model.n, model.r
@@ -151,7 +149,7 @@ def step_classical(model: ModelSpec, state: UrnState, rng) -> UrnState:
     return UrnState(state.rack1 ^ (1 << a) ^ (1 << b))
 
 
-def step_variant(model: ModelSpec, state: UrnState, rng) -> UrnState:
+def _step_variant(model: ModelSpec, state: UrnState, rng) -> UrnState:
     """Pick two balls uniformly with replacement; swap if on different racks."""
     _check_state(model, state)
     n = model.n
@@ -160,18 +158,20 @@ def step_variant(model: ModelSpec, state: UrnState, rng) -> UrnState:
     return UrnState(_swap_subset(state.rack1, b1, b2))
 
 
-def step_independent_flips(model: ModelSpec, state: SignedUrnState, rng) -> SignedUrnState:
-    """Variant move on charged balls; each chosen ball's charge flips on a fair coin.
+def _step_signed(model: ModelSpec, state: SignedUrnState, rng) -> SignedUrnState:
+    """Variant move on charged balls, then a fair coin per charge flip.
 
-    When the two draws name the same ball only the first coin applies; the
-    second is still drawn so the stream stride stays 4.
+    Independent flips toss coin c1 for the first drawn ball and c2 for the
+    second; paired flips toss c1 alone, for both.  When the two draws name
+    the same ball only c1 applies; independent flips still draw c2, so the
+    stream stride stays 4.
     """
     _check_state(model, state)
     n = model.n
     b1 = int(rng.integers(n))
     b2 = int(rng.integers(n))
     c1 = int(rng.integers(2))
-    c2 = int(rng.integers(2))
+    c2 = int(rng.integers(2)) if model.family is Family.INDEPENDENT_FLIPS else c1
     rack1 = _swap_subset(state.rack1, b1, b2)
     signs = state.signs ^ (c1 << b1)
     if b1 != b2:
@@ -179,25 +179,11 @@ def step_independent_flips(model: ModelSpec, state: SignedUrnState, rng) -> Sign
     return SignedUrnState(rack1, signs)
 
 
-def step_paired_flips(model: ModelSpec, state: SignedUrnState, rng) -> SignedUrnState:
-    """Variant move on charged balls; one coin flips both charges or neither."""
-    _check_state(model, state)
-    n = model.n
-    b1 = int(rng.integers(n))
-    b2 = int(rng.integers(n))
-    c = int(rng.integers(2))
-    rack1 = _swap_subset(state.rack1, b1, b2)
-    signs = state.signs ^ (c << b1)
-    if b1 != b2:
-        signs ^= c << b2
-    return SignedUrnState(rack1, signs)
-
-
 _STEPPERS = {
-    Family.CLASSICAL: step_classical,
-    Family.VARIANT: step_variant,
-    Family.INDEPENDENT_FLIPS: step_independent_flips,
-    Family.PAIRED_FLIPS: step_paired_flips,
+    Family.CLASSICAL: _step_classical,
+    Family.VARIANT: _step_variant,
+    Family.INDEPENDENT_FLIPS: _step_signed,
+    Family.PAIRED_FLIPS: _step_signed,
 }
 
 

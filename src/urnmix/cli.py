@@ -257,13 +257,13 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     from . import verify
 
-    report = verify.run_quick() if args.level == "quick" else verify.run_full()
-    data = "\n".join(report.lines()) + "\n"
+    results = [check() for check in (verify.QUICK if args.level == "quick" else verify.FULL)]
+    data = "\n".join(result.line() for result in results) + "\n"
     _emit(args, "verify", data, parameters={"level": args.level}, t0=t0)
-    if not report.ok:
-        first = report.first_failure()
-        sys.stderr.write(f"verification failed: {first.name}: {first.detail}\n")
-        return EXIT_VERIFY
+    for result in results:
+        if not result.ok:
+            sys.stderr.write(f"verification failed: {result.name}: {result.detail}\n")
+            return EXIT_VERIFY
     return EXIT_OK
 
 

@@ -206,8 +206,8 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     for unsigned families, and for signed ones when charges is false, which
     skips the coin draws and charge flips.  Draws are counter based, so the
     rack words do not depend on charges.  Draws are taken in the order
-    chains.step takes them from a WalkerStream, so each column is that
-    walker's scalar replay.
+    chains.step takes them from a WalkerStream, each from its bound in
+    chains.draw_bounds, so each column is that walker's scalar replay.
     """
     n, r, family = model.n, model.r, model.family
     width, nb = -(-n // 64), hi - lo
@@ -217,7 +217,8 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     signs = np.zeros_like(rack) if family.signed and charges else None
     offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
     balls = _words((1 << n) - 1, width)
-    slots = len(draw_bounds(model))
+    bound = draw_bounds(model)
+    slots = len(bound)
     # per-step scratch, reused so the loop does not allocate
     draw = np.empty((slots, nb), dtype=np.uint64)
     sh1, sh2, cross, spare = np.empty((4, width, nb), dtype=np.uint64)
@@ -226,17 +227,17 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     for step_no in range(k):
         base = step_no * slots
         if family is Family.CLASSICAL:
-            np.subtract(_select(rack, _draws(wh, base, r, draw[0], tmp)), offsets, out=sh1)
+            np.subtract(_select(rack, _draws(wh, base, bound[0], draw[0], tmp)), offsets, out=sh1)
             np.invert(rack, out=spare)
             spare &= balls
-            np.subtract(_select(spare, _draws(wh, base + 1, n - r, draw[1], tmp)), offsets, out=sh2)
+            np.subtract(_select(spare, _draws(wh, base + 1, bound[1], draw[1], tmp)), offsets, out=sh2)
             np.left_shift(_ONE, sh1, out=spare)
             rack ^= spare
             np.left_shift(_ONE, sh2, out=spare)
             rack ^= spare
             continue
-        b1 = _draws(wh, base, n, draw[0], tmp)
-        b2 = _draws(wh, base + 1, n, draw[1], tmp)
+        b1 = _draws(wh, base, bound[0], draw[0], tmp)
+        b2 = _draws(wh, base + 1, bound[1], draw[1], tmp)
         np.subtract(b1, offsets, out=sh1)
         np.subtract(b2, offsets, out=sh2)
         np.right_shift(rack, sh1, out=cross)
@@ -250,11 +251,11 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
         rack ^= spare
         if signs is None:
             continue
-        c1 = _draws(wh, base + 2, 2, draw[2], tmp)
+        c1 = _draws(wh, base + 2, bound[2], draw[2], tmp)
         np.left_shift(c1, sh1, out=spare)
         signs ^= spare
         if family is Family.INDEPENDENT_FLIPS:
-            c2 = _draws(wh, base + 3, 2, draw[3], tmp)
+            c2 = _draws(wh, base + 3, bound[3], draw[3], tmp)
         else:
             c2 = c1
         # a ball drawn twice is flipped by the first coin alone

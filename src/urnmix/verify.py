@@ -1,20 +1,23 @@
 """The catalogue of checks behind `urnmix verify` and the acceptance tests.
 
-Each check is a named function that returns a CheckResult; the CLI turns
-failures into exit code 1, and tests/test_acceptance.py asserts the same
-checks one release criterion at a time.  QUICK holds the structural
-checks; FULL adds the numerical audit: exact spectra against the catalog,
-the Plancherel identity in rational arithmetic, moment formulas against
-exact evolution, signed-to-unsigned marginals, Monte Carlo consistency,
-determinism of the simulators and the cutoff window at n = 200.  Every
-grid, tolerance and rational curve of those criteria is defined here.
+Each check is a named function of no arguments that returns a CheckResult;
+its grid sizes and step counts are constants in its body.  `urnmix verify`
+calls every check of QUICK or FULL in order, prints each result's line()
+and turns a failure into exit code 1, and tests/test_acceptance.py asserts
+the same checks one release criterion at a time.  QUICK holds the
+structural checks; FULL adds the numerical audit: exact spectra against
+the catalog, the Plancherel identity in rational arithmetic, moment
+formulas against exact evolution, signed-to-unsigned marginals, Monte Carlo
+consistency, determinism of the simulators and the cutoff window at
+n = 200.  Every grid, tolerance and rational curve of those criteria is
+defined here.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -28,11 +31,8 @@ __all__ = [
     "CheckResult",
     "CheckFailed",
     "Check",
-    "VerifyReport",
     "QUICK",
     "FULL",
-    "run_quick",
-    "run_full",
     "reference_catalog",
     "kernel_table_mismatch",
     "spectral_measure_mismatch",
@@ -76,24 +76,6 @@ class Check:
 
 def _check(name: str):
     return lambda body: Check(name, body)
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    results: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
-
-    def lines(self):
-        return [r.line() for r in self.results]
-
-    def first_failure(self):
-        for r in self.results:
-            if not r.ok:
-                return r
-        return None
 
 
 # one model per family, small enough for a dense spectrum in the quick level
@@ -144,8 +126,9 @@ PLANCHEREL_GRID = SPECTRUM_GRID + [
 
 
 @_check("dimension-identities")
-def dimension_identities(unsigned_n_max: int = 14, signed_n_max: int = 10) -> str:
+def dimension_identities() -> str:
     """Criterion 1: sum of dim * mult is C(n, r), times 2^n for signed families."""
+    unsigned_n_max, signed_n_max = 14, 10
     for n in range(2, unsigned_n_max + 1):
         for r in range(1, n // 2 + 1):
             for family in Family:
@@ -260,10 +243,9 @@ def spectral_measure_mismatch(model: ModelSpec, kmax: int) -> str | None:
     """
     label = _label(model)
     want = reference_catalog(model)
-    got = [(astuple(e.label), e.dim, e.mult, e.eigenvalue) for e in catalog.catalog_entries(model)]
-    if got != want:
+    if catalog.catalog_entries(model) != want:
         return f"{label}: catalog differs from the reference formulas"
-    trivial = astuple(catalog.trivial_label(model))
+    trivial = catalog.trivial_label(model)
     grouped: dict[Fraction, int] = {}
     for idx, dim, mult, lam in want:
         if idx != trivial:
@@ -280,7 +262,8 @@ def spectral_measure_mismatch(model: ModelSpec, kmax: int) -> str | None:
 
 
 @_check("spectral-measure")
-def spectral_measure(kmax: int = 30) -> str:
+def spectral_measure() -> str:
+    kmax = 30
     for model in SPECTRAL_MEASURE_GRID:
         bad = spectral_measure_mismatch(model, kmax)
         if bad:
@@ -318,7 +301,8 @@ def montecarlo_replay_mismatch(
 
 
 @_check("montecarlo-replay")
-def montecarlo_replay(k: int = 16) -> str:
+def montecarlo_replay() -> str:
+    k = 16
     for model in REPLAY_GRID:
         bad = montecarlo_replay_mismatch(model, k, seed=20240817, lo=5, hi=8)
         if bad:
@@ -352,7 +336,7 @@ spectrum_match_grid = Check("spectrum-match-grid", lambda: _spectrum_detail(SPEC
 
 
 @_check("plancherel")
-def plancherel(kmax: int = 20) -> str:
+def plancherel() -> str:
     """Criteria 3 and 4, walking one rational and one float curve per model.
 
     The exact l2 distance equals the rational spectral sum, tv^2 is at most
@@ -360,6 +344,7 @@ def plancherel(kmax: int = 20) -> str:
     1e-9 relative where the sum is at least 1e-12 (below that, float64
     cancellation dominates a quantity that is itself below measurement).
     """
+    kmax = 20
     ks = range(1, kmax + 1)
     worst = 0.0
     for model in PLANCHEREL_GRID:
@@ -384,8 +369,9 @@ def plancherel(kmax: int = 20) -> str:
 
 
 @_check("moment-identities")
-def moment_identities(kmax: int = 15) -> str:
+def moment_identities() -> str:
     """Criterion 5: E[s1] to 1e-10 and the variance ratio to 1e-8 relative."""
+    kmax = 15
     worst_mean = worst_var = 0.0
     for n in (6, 8, 10):
         r = n // 2
@@ -411,8 +397,9 @@ def moment_identities(kmax: int = 15) -> str:
 
 
 @_check("signed-marginal")
-def signed_marginal(kmax: int = 10) -> str:
+def signed_marginal() -> str:
     """Criterion 9: both signed families' rack marginals are the variant law, to 1e-12."""
+    kmax = 10
     plain_model = ModelSpec(Family.VARIANT, 6, 3)
     worst = 0.0
     for family in (Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS):
@@ -539,13 +526,3 @@ FULL = QUICK + (
     determinism,
     cutoff_window,
 )
-
-
-def run_quick() -> VerifyReport:
-    """Structural checks: exact identities, kernel sanity, small spectra, walker replay."""
-    return VerifyReport(tuple(check() for check in QUICK))
-
-
-def run_full() -> VerifyReport:
-    """Quick checks plus the numerical audit behind the acceptance criteria."""
-    return VerifyReport(tuple(check() for check in FULL))

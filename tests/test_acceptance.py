@@ -144,6 +144,6 @@ def test_montecarlo_failure_keeps_the_check_name(monkeypatch, mean_off, tv):
     bad = montecarlo.SimSummary(mean, 1e-3, tv, None, 0.0)
     monkeypatch.setattr(montecarlo, "run", lambda config, **kwargs: bad)
     result = verify.montecarlo_consistency()
-    line = verify.VerifyReport((result,)).lines()[0]
+    line = result.line()
     assert line.startswith("FAIL montecarlo-consistency: ")
     assert ("stderr" if mean_off else "empirical tv") in line

@@ -398,6 +398,29 @@ def test_exact_sum_is_capped_by_size_before_any_power():
         assert time.perf_counter() - t0 < 0.5
 
 
+@pytest.mark.parametrize("family, n, r, k, terms", [
+    # each term fits EXACT_SUM_BIT_CAP; uncapped, each sum took about 1 s
+    (Family.PAIRED_FLIPS, 64, 32, 2520, 2096),  # den = 4096, 13 bits
+    (Family.VARIANT, 3000, 1500, 1365, 1500),  # den = 9 * 10^6, 24 bits
+])
+def test_exact_sum_is_capped_by_total_size(family, n, r, k, terms):
+    # the sums in use still fit: variant(200,100) at k = 359 is an example of
+    # test_exact_bound_equals_per_entry_fraction_sum, and variant(10,5) at
+    # k = 4,681 the top of test_exact_sum_is_capped_by_size_before_any_power
+    model = ModelSpec(family, n, r)
+    bits = 2 * k * catalog._eigen_den(model).bit_length()
+    assert bits <= bounds.EXACT_SUM_BIT_CAP
+    entries = catalog.catalog_entries(model)
+    for call in (lambda: l2n_sq_bound(model, k, exact=True),
+                 lambda: l2n_sq_bound(model, k, exact=True, entries=entries)):
+        t0 = time.perf_counter()
+        with pytest.raises(SpaceCapError) as info:
+            call()
+        assert time.perf_counter() - t0 < 0.5
+        assert info.value.required == bits * terms
+        assert info.value.cap == bounds.EXACT_SUM_TOTAL_CAP
+
+
 def test_leading_l2_term():
     model = ModelSpec(Family.VARIANT, 200, 100)
     assert math.isclose(leading_l2_term(model, 64), 199 * 0.99**128, rel_tol=1e-12)

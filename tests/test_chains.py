@@ -73,7 +73,7 @@ def test_classical_always_swaps():
     state = initial_state(model)
     rng = WalkerStream(1, 0)
     for _ in range(50):
-        nxt = chains.step_classical(model, state, rng)
+        nxt = step(model, state, rng)
         assert nxt != state
         assert nxt.rack1.bit_count() == 3
         state = nxt
@@ -191,7 +191,7 @@ def test_paired_flip_parity():
     state = initial_state(model)
     rng = WalkerStream(3, 0)
     for _ in range(300):
-        nxt = chains.step_paired_flips(model, state, rng)
+        nxt = step(model, state, rng)
         flipped = (state.signs ^ nxt.signs).bit_count()
         assert flipped in (0, 1, 2)
         if flipped == 1:
@@ -243,7 +243,7 @@ def test_kernel_rows_check_catches_a_faulty_sampler(monkeypatch):
 
 def _extra_draw(model, state, rng):
     rng.integers(2)
-    return chains.step_variant(model, state, rng)
+    return chains._step_variant(model, state, rng)
 
 
 def _wrong_bound(model, state, rng):

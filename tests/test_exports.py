@@ -1,11 +1,15 @@
 """Every exported name resolves, so a deletion cannot leave an export behind.
 
-The package resolves its exports lazily, from their home submodules.
+The package resolves its exports lazily, from their home submodules.  The
+README's library quick start runs as written and prints what it promises.
 """
 
 import importlib
+from pathlib import Path
 
 import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = ["urnmix", "urnmix.bounds", "urnmix.chains", "urnmix.exact", "urnmix.montecarlo", "urnmix.verify"]
 
@@ -43,3 +47,12 @@ def test_exact_reexports_the_pure_model_helpers():
 
     assert exact.SpaceCapError is models.SpaceCapError
     assert exact.space_size is models.space_size
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    """The first five prints of the quick start print their `# <literal>` comments."""
+    section = README.read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[:5] == ["31/162", "0.0523890600169058", "0.22888656582880917", "5", "65"]
