@@ -21,14 +21,12 @@ import time
 # numpy-backed modules are imported by the subcommands that call them, so
 # catalog and usage errors start without numpy
 from . import __version__, catalog
-from .models import Family, ModelSpec, SpaceCapError, space_size
+from .models import MAX_THREADS, Family, ModelSpec, SpaceCapError, space_size, thread_count
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-MAX_THREADS = 64
 
 
 def _fmt(x) -> str:
@@ -62,12 +60,9 @@ def _parse_float_grid(spec: str) -> list[float]:
 
 def _thread_count(text: str) -> int:
     try:
-        threads = int(text)
+        return thread_count(int(text))
     except ValueError:
-        threads = 0
-    if not 1 <= threads <= MAX_THREADS:
-        raise argparse.ArgumentTypeError(f"need an integer from 1 to {MAX_THREADS}, got {text!r}")
-    return threads
+        raise argparse.ArgumentTypeError(f"need an integer from 1 to {MAX_THREADS}, got {text!r}") from None
 
 
 def _resolve_seed(args) -> int:
@@ -224,7 +219,7 @@ def cmd_simulate(args) -> int:
     model = _model_of(args)
     seed = _resolve_seed(args)
     cfg = montecarlo.SimConfig(model=model, k=args.k, walkers=args.walkers, seed=seed)
-    summary = montecarlo.run(cfg, states_path=args.states_out)
+    summary = montecarlo.run(cfg, states_path=args.states_out, threads=args.threads)
     doc = {
         "family": model.family.value,
         "n": model.n,
@@ -289,8 +284,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=_thread_count,
-            default=min(os.cpu_count() or 1, MAX_THREADS),
-            help=f"1..{MAX_THREADS}, recorded in the manifest; all computation runs on one thread",
+            default=thread_count(),
+            help=f"1..{MAX_THREADS}, default the CPUs this process may use; simulate splits each "
+            "block of walkers across them, with the same output for any count",
         )
 
     p = sub.add_parser("catalog", help="component catalog as CSV")

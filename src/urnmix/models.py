@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import operator
+import os
 from dataclasses import dataclass
 from math import comb
 
@@ -70,9 +71,36 @@ def space_size(model: ModelSpec) -> int:
     return base
 
 
+def as_int(value, what: str) -> int:
+    """value as a Python int; ValueError unless it is an integer (numpy ints pass, bools do not)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def step_count(k) -> int:
-    """k as a Python int; ValueError unless it is an integer (numpy ints pass)."""
-    try:
-        return operator.index(k)
-    except TypeError:
-        raise ValueError(f"step count must be an integer, got {k!r}") from None
+    """k as a Python int; ValueError unless it is an integer."""
+    return as_int(k, "step count")
+
+
+# the most threads any computation may start
+MAX_THREADS = 64
+
+
+def thread_count(threads=None) -> int:
+    """threads as an int in 1..MAX_THREADS; None means the CPUs this process may use.
+
+    ValueError for anything else, so a caller can check a count before it
+    starts any thread.
+    """
+    if threads is None:
+        if hasattr(os, "sched_getaffinity"):
+            return min(len(os.sched_getaffinity(0)), MAX_THREADS)
+        return min(os.cpu_count() or 1, MAX_THREADS)
+    threads = as_int(threads, "thread count")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"need a thread count from 1 to {MAX_THREADS}, got {threads}")
+    return threads

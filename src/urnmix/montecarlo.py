@@ -11,7 +11,10 @@ The vectorized engine keeps each block of walkers as uint64 mask words,
 ceil(n/64) per walker for the rack and as many for the charges, so a step
 is a few elementwise word operations for any n.  Classical steps pick the
 i-th smallest ball of a rack by a popcount search over the words, as
-chains.step does by counting set bits.
+chains.step does by counting set bits.  A block is walked in contiguous
+pieces, on several threads when it is large enough; numpy releases the GIL
+inside each word operation, and each walker's stream is its own, so the
+words come out the same for any thread count.
 
 Summaries report the first spherical function s1 = 1 - j n/(r(n-r)) of each
 terminal state, j being the count of rack-1 balls with labels above r;
@@ -23,6 +26,8 @@ the known upward bias is bounded by sqrt(|X|/walkers)/2, reported alongside.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from dataclasses import dataclass
 from math import comb, sqrt
@@ -30,7 +35,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .chains import draw_bounds
-from .models import Family, ModelSpec, space_size, step_count
+from .models import Family, ModelSpec, as_int, space_size, step_count, thread_count
 
 __all__ = [
     "SimConfig",
@@ -45,6 +50,12 @@ __all__ = [
 STREAM_MAGIC = b"URNMC01\x00"
 TV_SPACE_CAP = 10**5
 TV_WALKER_FACTOR = 50
+# Walkers per _walk call.  A piece for a second thread needs at least
+# MIN_PIECE: shorter numpy calls lose more to GIL hand-offs than the thread
+# gains.  A piece holds at most MAX_PIECE, which keeps the scratch of one
+# step's draws within a 2 MB L2 cache.
+MIN_PIECE = 1 << 14
+MAX_PIECE = 1 << 15
 
 _M64 = (1 << 64) - 1
 _C0 = 0x9E3779B97F4A7C15
@@ -124,7 +135,11 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if step_count(self.k) < 0:
+        # held as Python ints: numpy integers pass, and would overflow in the seed hash
+        object.__setattr__(self, "k", step_count(self.k))
+        object.__setattr__(self, "walkers", as_int(self.walkers, "walker count"))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed"))
+        if self.k < 0:
             raise ValueError(f"need k >= 0, got {self.k}")
         if self.walkers < 1:
             raise ValueError(f"need walkers >= 1, got {self.walkers}")
@@ -141,16 +156,19 @@ class SimSummary:
     elapsed_s: float
 
 
-def _draws(wh: np.ndarray, t: int, n: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Uniform [0, n) draws at counter t for every walker hash in wh, into out.
+def _draws(wh: np.ndarray, t: int, bound: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Uniform draws at counters t, t+1, ... for every walker hash in wh, into out.
 
-    out and tmp are uint64 arrays of wh's shape.  Nothing is allocated, so
-    the draws of every step reuse the same memory.
+    Row i of out holds the draws at counter t + i, each from [0, bound[i]);
+    bound is a (rows, 1) uint64 column and out and tmp are (rows, len(wh))
+    uint64 arrays.  Nothing large is allocated, so the draws of every step
+    reuse the same memory.
     """
-    np.bitwise_xor(wh, _U((t * _C3 + _C4) & _M64), out=out)
+    counters = np.array([((t + i) * _C3 + _C4) & _M64 for i in range(len(out))], dtype=np.uint64)
+    np.bitwise_xor(wh, counters[:, None], out=out)
     _mix_np(out, tmp)
     out >>= _S32
-    out *= _U(n)
+    out *= bound
     out >>= _S32
     return out
 
@@ -217,27 +235,28 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     signs = np.zeros_like(rack) if family.signed and charges else None
     offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
     balls = _words((1 << n) - 1, width)
-    bound = draw_bounds(model)
+    bound = np.array(draw_bounds(model), dtype=np.uint64)[:, None]
     slots = len(bound)
+    # only the two rack draws when nothing reads the charges
+    rows = slots if signs is not None else 2
     # per-step scratch, reused so the loop does not allocate
-    draw = np.empty((slots, nb), dtype=np.uint64)
+    draw, dtmp = np.empty((2, rows, nb), dtype=np.uint64)
     sh1, sh2, cross, spare = np.empty((4, width, nb), dtype=np.uint64)
     flip = np.empty(nb, dtype=np.uint64)
 
     for step_no in range(k):
-        base = step_no * slots
+        _draws(wh, step_no * slots, bound[:rows], draw, dtmp)
         if family is Family.CLASSICAL:
-            np.subtract(_select(rack, _draws(wh, base, bound[0], draw[0], tmp)), offsets, out=sh1)
+            np.subtract(_select(rack, draw[0]), offsets, out=sh1)
             np.invert(rack, out=spare)
             spare &= balls
-            np.subtract(_select(spare, _draws(wh, base + 1, bound[1], draw[1], tmp)), offsets, out=sh2)
+            np.subtract(_select(spare, draw[1]), offsets, out=sh2)
             np.left_shift(_ONE, sh1, out=spare)
             rack ^= spare
             np.left_shift(_ONE, sh2, out=spare)
             rack ^= spare
             continue
-        b1 = _draws(wh, base, bound[0], draw[0], tmp)
-        b2 = _draws(wh, base + 1, bound[1], draw[1], tmp)
+        b1, b2 = draw[0], draw[1]
         np.subtract(b1, offsets, out=sh1)
         np.subtract(b2, offsets, out=sh2)
         np.right_shift(rack, sh1, out=cross)
@@ -251,19 +270,78 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
         rack ^= spare
         if signs is None:
             continue
-        c1 = _draws(wh, base + 2, bound[2], draw[2], tmp)
+        c1 = draw[2]
         np.left_shift(c1, sh1, out=spare)
         signs ^= spare
-        if family is Family.INDEPENDENT_FLIPS:
-            c2 = _draws(wh, base + 3, bound[3], draw[3], tmp)
-        else:
-            c2 = c1
+        c2 = draw[3] if family is Family.INDEPENDENT_FLIPS else c1
         # a ball drawn twice is flipped by the first coin alone
         np.not_equal(b1, b2, out=tmp)
         tmp &= c2
         np.left_shift(tmp, sh2, out=spare)
         signs ^= spare
     return rack, signs
+
+
+def _pin(cpus) -> None:
+    """Keep the calling thread to cpus; leave it as it is where that is not possible."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _walk_block(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool, threads: int):
+    """_walk over walkers lo .. hi-1, cut into contiguous pieces walked on up to threads threads.
+
+    Pieces hold at most MAX_PIECE walkers, and there are enough of them to
+    give each thread one where every piece can keep MIN_PIECE.  Thread j
+    walks pieces j, j + workers, ...; the calling thread is thread 0, so a
+    block that gets one worker starts no thread.  numpy releases the GIL
+    inside its elementwise operations, so the threads run side by side.
+    Walkers are pure functions of (seed, id), so the joined words equal
+    those of one _walk over lo .. hi-1.
+
+    Where the calling thread may use at least as many CPUs as there are
+    threads, each thread is kept to its own share of them, and the calling
+    thread gets its CPUs back after.  Left free, the threads
+    wake each other for the GIL between numpy calls, and Linux tends to wake
+    a thread on the CPU of the thread that woke it: the threads then take
+    turns on one CPU, for seconds at a time.
+    """
+    nb = hi - lo
+    pieces = max(-(-nb // MAX_PIECE), min(threads, nb // MIN_PIECE))
+    if pieces == 1:
+        return _walk(model, k, seed, lo, hi, charges)
+    cuts = [lo + nb * i // pieces for i in range(pieces + 1)]
+    parts = [None] * pieces
+    workers = min(threads, pieces)
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    cpus = sorted(mask) if len(mask) >= workers > 1 else None
+
+    def walk(first):
+        try:
+            if cpus is not None:
+                _pin(cpus[first::workers])
+            for i in range(first, pieces, workers):
+                parts[i] = _walk(model, k, seed, cuts[i], cuts[i + 1], charges)
+        except BaseException as exc:  # re-raised in the calling thread
+            parts[first] = exc
+
+    helpers = [threading.Thread(target=walk, args=(j,)) for j in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        walk(0)
+    finally:
+        if cpus is not None:
+            _pin(mask)
+        for helper in helpers:
+            helper.join()
+    for part in parts:
+        if isinstance(part, BaseException):
+            raise part
+    racks, signs = zip(*parts)
+    return np.concatenate(racks, axis=1), None if signs[0] is None else np.concatenate(signs, axis=1)
 
 
 def _colex_rank(rack: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -286,14 +364,21 @@ def _colex_rank(rack: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return rank
 
 
-def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSummary:
+def run(config: SimConfig, states_path=None, block_size: int = 1 << 16, threads=None) -> SimSummary:
     """Simulate all walkers and summarize terminal states.
 
     states_path, if given, receives the magic header followed by one record
     per walker: little-endian 64-bit charge mask then 64-bit subset mask
     (charge mask 0 for unsigned families).  Requires n <= 64.
+
+    Walkers go in equal blocks of at most block_size, one block after
+    another, and the pieces of a block are walked on up to threads threads
+    (see _walk_block); threads None means the CPUs this process may use.
+    No more than one block is in flight, whatever the thread count.  The
+    summary and the states file depend on neither block_size nor threads.
     """
     t0 = time.perf_counter()
+    threads = thread_count(threads)
     model, k, total, seed = config.model, config.k, config.walkers, config.seed
     n, r = model.n, model.r
     signed = model.family.signed
@@ -319,9 +404,11 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16) -> SimSu
     if out is not None:
         out.write(STREAM_MAGIC)
     try:
-        for lo in range(0, total, block_size):
-            hi = min(lo + block_size, total)
-            rack, signs = _walk(model, k, seed, lo, hi, charges=charges)
+        # equal blocks, so that no short last block is left too small to split
+        blocks = -(-total // block_size)
+        for b in range(blocks):
+            lo, hi = total * b // blocks, total * (b + 1) // blocks
+            rack, signs = _walk_block(model, k, seed, lo, hi, charges, threads)
             stray = np.bitwise_count(rack & high).sum(axis=0)
             s1_all[lo:hi] = 1.0 - stray * (n / (r * (n - r)))
 

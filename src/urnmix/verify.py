@@ -433,20 +433,24 @@ def montecarlo_consistency() -> str:
 
 @_check("determinism")
 def determinism() -> str:
-    """Criterion 8 below the CLI: batching, and float and rational reruns."""
+    """Criterion 8 below the CLI: batching, thread count, float and rational reruns."""
     model = ModelSpec(Family.INDEPENDENT_FLIPS, 6, 3)
-    cfg = montecarlo.SimConfig(model=model, k=7, walkers=20000, seed=7)
-    a = montecarlo.run(cfg, block_size=1 << 16)
-    b = montecarlo.run(cfg, block_size=777)
+    # two MIN_PIECE pieces: with two threads the one block is walked on both
+    cfg = montecarlo.SimConfig(model=model, k=7, walkers=2 * montecarlo.MIN_PIECE, seed=7)
+    a = montecarlo.run(cfg, block_size=1 << 16, threads=1)
+    b = montecarlo.run(cfg, block_size=777, threads=1)
+    c = montecarlo.run(cfg, block_size=1 << 16, threads=2)
     if (a.mean_s1, a.stderr_s1, a.empirical_tv) != (b.mean_s1, b.stderr_s1, b.empirical_tv):
         raise CheckFailed("simulation summary depends on the batching")
+    if (a.mean_s1, a.stderr_s1, a.empirical_tv) != (c.mean_s1, c.stderr_s1, c.empirical_tv):
+        raise CheckFailed("simulation summary depends on the thread count")
     if not np.array_equal(exact.evolve(model, 9).probs, exact.evolve(model, 9).probs):
         raise CheckFailed("float evolution not reproducible")
     # != on object arrays compares elementwise, so compare den and array_equal
     first, again = exact.evolve(model, 9, exact=True), exact.evolve(model, 9, exact=True)
     if first.den != again.den or not np.array_equal(first.probs, again.probs):
         raise CheckFailed("rational evolution not reproducible")
-    return "simulation independent of batching; float and rational reruns equal"
+    return "simulation independent of batching and thread count; float and rational reruns equal"
 
 
 def _within(got: float, want: float, rel: float = 1e-12) -> bool:

@@ -62,18 +62,22 @@ def test_criterion_7_montecarlo_consistency():
     report(7, verify.montecarlo_consistency())
 
 
-def test_criterion_8_determinism(capsys):
+def test_criterion_8_determinism(capsys, tmp_path):
+    # 40,000 walkers make one block that two or more threads split
     args = [
         "simulate", "--family", "paired", "--n", "50", "--r", "25",
-        "--k", "40", "--walkers", "20000", "--seed", "424242",
+        "--k", "40", "--walkers", "40000", "--seed", "424242",
     ]
-    sums = set()
+    sums, states = set(), set()
     for threads in ("1", "4", "8"):
-        code = cli.main(args + ["--threads", threads])
+        path = tmp_path / f"states-{threads}.bin"
+        code = cli.main(args + ["--threads", threads, "--states-out", str(path)])
         captured = capsys.readouterr()
         assert code == 0
         sums.add(json.loads(captured.err)["output_sha256"])
+        states.add(path.read_bytes())
     assert len(sums) == 1
+    assert len(states) == 1
     report(8, verify.determinism())
 
 

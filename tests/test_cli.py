@@ -5,12 +5,13 @@ import json
 import math
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from urnmix import bounds, cli, verify
+from urnmix import bounds, cli, montecarlo, verify
 from urnmix.chains import initial_state, kernel_row
 from urnmix.exact import enumerate_states
 from urnmix.models import Family, ModelSpec
@@ -235,6 +236,25 @@ def test_simulate_reproducible_checksum(tmp_path, capsys):
     m1, m2 = json.loads(err1), json.loads(err2)
     assert m1["output_sha256"] == m2["output_sha256"]
     assert m1["seed"] == 31
+
+
+@pytest.mark.parametrize("threads, used", [("1", 1), ("2", 2)])
+def test_simulate_walks_on_the_requested_threads(threads, used, capsys, monkeypatch):
+    idents = set()
+    walk = montecarlo._walk
+
+    def recorded(*args):
+        idents.add(threading.get_ident())
+        return walk(*args)
+
+    monkeypatch.setattr(montecarlo, "_walk", recorded)
+    code, _, err = run_cli(
+        capsys, "simulate", "--family", "variant", "--n", "8", "--r", "4",
+        "--k", "2", "--walkers", "40000", "--threads", threads,
+    )
+    assert code == 0
+    assert json.loads(err)["threads"] == int(threads)
+    assert len(idents) == used
 
 
 def test_simulate_tv_past_64_balls(capsys):

@@ -1,7 +1,12 @@
 """Deterministic walker streams and the vectorized simulator."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 
 from urnmix import exact, montecarlo
 from urnmix.chains import _nth_bit, initial_state, step
-from urnmix.models import Family, ModelSpec
+from urnmix.models import MAX_THREADS, Family, ModelSpec, thread_count
 from urnmix.montecarlo import (
     STREAM_MAGIC,
     SimConfig,
@@ -55,6 +60,159 @@ def test_config_step_count_must_be_an_integer():
     with pytest.raises(ValueError, match="integer"):
         SimConfig(model, 2.5, 10, 0)
     assert run(SimConfig(model, np.int64(3), 10, 0)).mean_s1 == run(SimConfig(model, 3, 10, 0)).mean_s1
+
+
+@pytest.mark.parametrize("walkers, seed", [(10.0, 1), (True, 1), (np.float64(10), 1), (10, 1.5), (10, "1")])
+def test_config_walkers_and_seed_must_be_integers(walkers, seed):
+    with pytest.raises(ValueError, match="integer"):
+        SimConfig(ModelSpec(Family.VARIANT, 6, 3), 3, walkers, seed)
+
+
+def test_config_accepts_numpy_walkers_and_seed():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    want = run(SimConfig(model, 3, 10, 5))
+    got = run(SimConfig(model, 3, np.int64(10), np.uint32(5)))
+    assert (got.mean_s1, got.stderr_s1) == (want.mean_s1, want.stderr_s1)
+
+
+def _record_walks(monkeypatch):
+    """Wrap montecarlo._walk; return the list of (thread name, lo, hi) it is called with.
+
+    Names, unlike thread idents, are not reused when a thread ends.
+    """
+    calls = []
+    walk = montecarlo._walk
+
+    def recorded(model, k, seed, lo, hi, charges=True):
+        calls.append((threading.current_thread().name, lo, hi))
+        return walk(model, k, seed, lo, hi, charges)
+
+    monkeypatch.setattr(montecarlo, "_walk", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [0, 65, -1, 2.5, True, "2"])
+def test_run_rejects_bad_thread_counts_before_starting(threads, monkeypatch, tmp_path):
+    calls = _record_walks(monkeypatch)
+    started = []
+    monkeypatch.setattr(montecarlo.threading, "Thread", lambda *a, **kw: started.append(a))
+    path = tmp_path / "states.bin"
+    cfg = SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, 4 * montecarlo.MIN_PIECE, 1)
+    with pytest.raises(ValueError, match="thread count"):
+        run(cfg, states_path=str(path), threads=threads)
+    assert calls == [] and started == [] and not path.exists()
+
+
+def test_thread_count_bounds():
+    assert MAX_THREADS == 64
+    assert 1 <= thread_count() <= MAX_THREADS
+    assert thread_count(np.int64(3)) == 3 and thread_count(MAX_THREADS) == MAX_THREADS
+    for bad in (0, MAX_THREADS + 1, 2.5, True, "2"):
+        with pytest.raises(ValueError):
+            thread_count(bad)
+
+
+@pytest.mark.parametrize(
+    "walkers, threads, pieces, used",
+    [
+        (2 * montecarlo.MIN_PIECE + 5, 1, 2, 1),
+        (2 * montecarlo.MIN_PIECE + 5, 2, 2, 2),
+        (2 * montecarlo.MIN_PIECE + 5, 8, 2, 2),
+        (3 * montecarlo.MIN_PIECE, 3, 3, 3),
+        (4 * montecarlo.MAX_PIECE, 2, 4, 2),
+    ],
+)
+def test_blocks_split_across_threads(walkers, threads, pieces, used, monkeypatch):
+    """A block is cut into contiguous pieces of MIN_PIECE to MAX_PIECE walkers, on up to threads threads."""
+    calls = _record_walks(monkeypatch)
+    run(SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, walkers, 1), block_size=walkers, threads=threads)
+    assert len(calls) == pieces
+    assert len({name for name, _, _ in calls}) == used
+    spans = sorted((lo, hi) for _, lo, hi in calls)
+    assert spans[0][0] == 0 and spans[-1][1] == walkers
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    assert all(montecarlo.MIN_PIECE <= hi - lo <= montecarlo.MAX_PIECE for lo, hi in spans)
+
+
+def test_small_blocks_start_no_thread(monkeypatch):
+    calls = _record_walks(monkeypatch)
+    started = []
+    monkeypatch.setattr(montecarlo.threading, "Thread", lambda *a, **kw: started.append(a))
+    run(SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, 2 * montecarlo.MIN_PIECE - 1, 1), threads=8)
+    assert len(calls) == 1 and started == []
+
+
+@pytest.mark.parametrize(
+    "family", [Family.CLASSICAL, Family.VARIANT, Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS]
+)
+def test_thread_count_does_not_change_results(family, tmp_path):
+    # 50,002 walkers in one block: three threads get 16,667, 16,667 and 16,668
+    cfg = SimConfig(ModelSpec(family, 12, 5), 6, 50_002, 20240817)
+    want_path = tmp_path / "t1.bin"
+    want = run(cfg, states_path=str(want_path), threads=1)
+    for threads in (2, 3, 4):
+        path = tmp_path / f"t{threads}.bin"
+        got = run(cfg, states_path=str(path), block_size=1 << 16, threads=threads)
+        assert (got.mean_s1, got.stderr_s1, got.empirical_tv, got.tv_bias_ceiling) == (
+            want.mean_s1, want.stderr_s1, want.empirical_tv, want.tv_bias_ceiling
+        )
+        assert path.read_bytes() == want_path.read_bytes()
+
+
+def test_threads_walking_several_pieces_each_give_the_same_states(tmp_path):
+    # five pieces of 26,215 walkers in one block, two of them on the helper thread
+    cfg = SimConfig(ModelSpec(Family.PAIRED_FLIPS, 12, 5), 6, 4 * montecarlo.MAX_PIECE + 3, 99)
+    one, two = tmp_path / "one.bin", tmp_path / "two.bin"
+    a = run(cfg, states_path=str(one), threads=1)
+    b = run(cfg, states_path=str(two), block_size=1 << 18, threads=2)
+    assert (a.mean_s1, a.stderr_s1) == (b.mean_s1, b.stderr_s1)
+    assert one.read_bytes() == two.read_bytes()
+
+
+def test_thread_count_does_not_change_the_histogram():
+    # enough walkers for the empirical TV, in blocks that split
+    cfg = SimConfig(ModelSpec(Family.VARIANT, 8, 4), 3, 70_000, 3)
+    one, two = run(cfg, threads=1), run(cfg, threads=2)
+    assert one.empirical_tv is not None
+    assert (one.mean_s1, one.stderr_s1, one.empirical_tv) == (two.mean_s1, two.stderr_s1, two.empirical_tv)
+
+
+AFFINITY_PROBE = """
+import os
+from urnmix.models import Family, ModelSpec
+from urnmix.montecarlo import MIN_PIECE, SimConfig, run
+before = os.sched_getaffinity(0)
+run(SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, 2 * MIN_PIECE, 1), threads=2)
+print(len(before), os.sched_getaffinity(0) == before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_split_run_gives_the_caller_its_cpus_back():
+    # a fresh process, so that no earlier run in this one has set the mask
+    src = Path(montecarlo.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", AFFINITY_PROBE], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    cpus, restored = done.stdout.split()
+    if int(cpus) < 2:
+        pytest.skip("one CPU: nothing is pinned")
+    assert restored == "True"
+
+
+def test_failure_in_a_helper_thread_reaches_the_caller(monkeypatch):
+    walk = montecarlo._walk
+
+    def failing(model, k, seed, lo, hi, charges=True):
+        if lo > 0:
+            raise MemoryError("helper share")
+        return walk(model, k, seed, lo, hi, charges)
+
+    monkeypatch.setattr(montecarlo, "_walk", failing)
+    cfg = SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, 2 * montecarlo.MIN_PIECE, 1)
+    with pytest.raises(MemoryError, match="helper share"):
+        run(cfg, threads=2)
 
 
 @pytest.mark.parametrize("block_size", [0, -1])
