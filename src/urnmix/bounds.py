@@ -19,6 +19,7 @@ cross-checks and rational curves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,7 @@ __all__ = [
     "GUARANTEE_CONSTANT",
     "EXACT_SUM_BIT_CAP",
     "EXACT_SUM_TOTAL_CAP",
+    "MEASURE_SIZE_CAP",
 ]
 
 # 1 - GUARANTEE_CONSTANT * exp(-c) lower-bounds total variation at the
@@ -67,6 +69,12 @@ EXACT_SUM_BIT_CAP = 1 << 16
 # at EXACT_SUM_BIT_CAP.  The n = 200 cutoff sum has 100 (1.15e6 bits);
 # paired(64,32) at k = 2,520 has 2,096 (1.4e8) and took 1 s on 2 vCPUs.
 EXACT_SUM_TOTAL_CAP = 1 << 24
+
+# Components times weight bits a spectral measure may take to build, as
+# estimated by _check_measure_size before any weight is formed.  On 2 vCPUs
+# variant(40000, 20000) (8.0e8) builds in 0.3 s, independent(1000, 500)
+# (1.0e9) in 1.5 s and paired(400, 200) (3.3e9) in 1.6 s.
+MEASURE_SIZE_CAP = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -150,23 +158,111 @@ def _independent_weights(n: int, r: int) -> dict[int, int]:
     return grouped
 
 
+def _signed_cells(model: ModelSpec, j: int):
+    """The nontrivial signed components with first shape of size j, as int64 arrays.
+
+    Returns (ell, m, mult, num), one entry per component ([j-l, l]; [n-j-m, m])
+    of catalog._components.  On the (l, m) grid the walker's split count is
+
+        mult = min(j-l, r-m) - max(l, r-(n-j)+m) + 1,
+
+    and its positive cells are exactly the walker's components at j (mult > 0
+    forces l <= j/2 and m <= (n-j)/2); the trivial (n, 0, 0) is left out.
+    num is the eigenvalue numerator over n^2, in [-n^2, n^2].
+    """
+    n, r = model.n, model.r
+    rest = n - j
+    ell = np.arange(j // 2 + 1)
+    m = np.arange(rest // 2 + 1)
+    mult = np.minimum.outer(j - ell, r - m)
+    mult -= np.maximum.outer(ell, r - rest + m)
+    mult += 1
+    if j == n:
+        mult[0, 0] = 0
+    ell_at, m_at = np.nonzero(mult > 0)
+    num = (j * j - 2 * ell * (j - ell + 1))[ell_at]
+    if model.family is Family.PAIRED_FLIPS:
+        num += (rest * rest - 2 * m * (rest - m + 1) - rest)[m_at]
+    return ell_at, m_at, mult[ell_at, m_at], num
+
+
+def _paired_weights(model: ModelSpec) -> tuple[list[int], list[int]]:
+    """Paired-flips (nums, weights), nums descending, one numpy pass per j.
+
+    Each component adds C(n,j) * dim[j-l,l] * dim[n-j-m,m] * mult to its
+    numerator's slot of an object accumulator indexed by num + n^2.  The
+    weights are Python ints in object arrays: they pass int64 near n = 60.
+    """
+    n = model.n
+    offset = n * n
+    acc = np.zeros(2 * offset + 1, dtype=object)
+    seen = np.zeros(2 * offset + 1, dtype=bool)
+    dims = [np.array(catalog._two_row_dims(s, s // 2), dtype=object) for s in range(n + 1)]
+    choose = 1  # C(n, j)
+    for j in range(n + 1):
+        ell, m, mult, num = _signed_cells(model, j)
+        num += offset
+        np.add.at(acc, num, (dims[j] * choose)[ell] * dims[n - j][m] * mult)
+        seen[num] = True
+        choose = choose * (n - j) // (j + 1)
+    slots = np.flatnonzero(seen)[::-1]
+    return (slots - offset).tolist(), acc[slots].tolist()
+
+
+def _distinct_eigenvalues(model: ModelSpec) -> int:
+    """How many distinct nontrivial eigenvalues, counted without any weight.
+
+    r for the unsigned families, whose numerators strictly decrease in i;
+    the distinct numerators of the int64 grids of _signed_cells otherwise.
+    """
+    if not model.family.signed:
+        return model.r
+    n = model.n
+    seen = np.zeros(2 * n * n + 1, dtype=bool)
+    for j in range(n + 1):
+        seen[_signed_cells(model, j)[3] + n * n] = True
+    return int(np.count_nonzero(seen))
+
+
+def _check_measure_size(model: ModelSpec) -> None:
+    """SpaceCapError if the measure build would pass MEASURE_SIZE_CAP.
+
+    The size is components times weight bits, bounded from n and r alone:
+    weights are below |X| <= 2^n C(n,r) < 4^n (2^n unsigned), and the build
+    walks r + 1 rows (unsigned), (j, l) pairs (independent) or (j, l, m)
+    cells (paired).  For each j there are at most j/2 + 1 values of l and
+    (n-j)/2 + 1 of m, whose product is at most (n/4 + 1)^2.
+    """
+    n = model.n
+    if model.family is Family.PAIRED_FLIPS:
+        size = (n + 1) * (n // 4 + 2) ** 2 * 2 * n
+    elif model.family is Family.INDEPENDENT_FLIPS:
+        size = (n + 1) * (n // 2 + 1) * 2 * n
+    else:
+        size = (model.r + 1) * n
+    if size > MEASURE_SIZE_CAP:
+        raise SpaceCapError(size, MEASURE_SIZE_CAP, "spectral measure components times weight bits")
+
+
 def spectral_measure(model: ModelSpec) -> SpectralMeasure:
     """Group the nontrivial components by eigenvalue, summing exact weights.
 
-    Independent flips use the O(n^2) closed form; the other families group
-    the catalog walker's components.
+    Independent flips use the O(n^2) closed form and paired flips one numpy
+    pass per j over the component grid; the unsigned rows are already one
+    per eigenvalue, in descending order.  SpaceCapError, before any weight
+    is formed, past MEASURE_SIZE_CAP (see _check_measure_size).
     """
+    _check_measure_size(model)
     if model.family is Family.INDEPENDENT_FLIPS:
         grouped = _independent_weights(model.n, model.r)
+        nums = sorted(grouped, reverse=True)
+        weights = [grouped[num] for num in nums]
+    elif model.family is Family.PAIRED_FLIPS:
+        nums, weights = _paired_weights(model)
     else:
-        trivial = catalog.trivial_label(model)
-        grouped = {}
-        for label, dim, mult, num in catalog._components(model):
-            if label != trivial:
-                grouped[num] = grouped.get(num, 0) + dim * mult
+        # every row but the trivial first
+        _, weights, _, nums = zip(*itertools.islice(catalog._components(model), 1, None))
     den = catalog._eigen_den(model)
-    nums = sorted(grouped, reverse=True)
-    weights = [grouped[num] for num in nums]
     return SpectralMeasure(
         den=den,
         nums=tuple(nums),
@@ -277,12 +373,17 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     if bits > EXACT_SUM_BIT_CAP:
         raise SpaceCapError(bits, EXACT_SUM_BIT_CAP, "exact spectral sum denominator bits")
     if entries is None:
-        measure = spectral_measure(model)
-        nums, weights = measure.nums, measure.weights
+        # the terms are counted from the numerators, before any weight is formed
+        _check_measure_size(model)
+        terms = _distinct_eigenvalues(model)
     else:
         nums, weights = _entry_numerators(model, entries)
-    if bits * len(nums) > EXACT_SUM_TOTAL_CAP:
-        raise SpaceCapError(bits * len(nums), EXACT_SUM_TOTAL_CAP, "exact spectral sum bits over all terms")
+        terms = len(nums)
+    if bits * terms > EXACT_SUM_TOTAL_CAP:
+        raise SpaceCapError(bits * terms, EXACT_SUM_TOTAL_CAP, "exact spectral sum bits over all terms")
+    if entries is None:
+        measure = spectral_measure(model)
+        nums, weights = measure.nums, measure.weights
     power = 2 * k
     total = sum(w * num**power for num, w in zip(nums, weights))
     return Fraction(total, 4 * den**power)
@@ -343,12 +444,16 @@ def theorem_k(model: ModelSpec, c: float) -> int:
     independent    (1/4) n (log n + c)
     paired         (1/2) n (log n + c)
 
-    rounded up to an integer.
+    rounded up to an integer.  ValueError for a c that is not finite, or
+    whose step count is past the float range.
     """
-    if c <= 0:
-        raise ValueError(f"need c > 0, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"need a finite c > 0, got {c}")
     coef = _THEOREM_COEFS[model.family](model.n, model.r)
-    return math.ceil(coef * (math.log(model.n) + c))
+    k = coef * (math.log(model.n) + c)
+    if k == math.inf:
+        raise ValueError(f"the step count for c = {c} is past the float range")
+    return math.ceil(k)
 
 
 def spherical_s1(n: int, r: int, state) -> Fraction:

@@ -13,8 +13,9 @@ between the two shapes.  Everything here is exact: dimensions and
 multiplicities are integers, eigenvalues are fractions.
 
 catalog_entries(model) is the one way to the rows; spectral sums read
-bounds.spectral_measure, which groups _components by eigenvalue.  Labels
-and rows are named tuples, equal to the index tuples of _components.
+bounds.spectral_measure, which groups the same components by eigenvalue
+(the signed ones in array form, with _components as the tests' reference).
+Labels and rows are named tuples, equal to the index tuples of _components.
 """
 
 from __future__ import annotations

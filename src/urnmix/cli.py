@@ -33,23 +33,38 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_int_grid(spec: str) -> list[int]:
+# the most points a --k-grid or --c-grid may have, counted before any list is built
+GRID_POINT_CAP = 10**6
+
+
+def _grid_parts(spec: str, kind):
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    a, b, s = (int(p) for p in parts)
+    a, b, s = (kind(p) for p in parts)
     if s <= 0 or b < a:
         raise ValueError(f"bad grid {spec!r}")
+    return a, b, s
+
+
+def _check_grid_points(points) -> None:
+    if points > GRID_POINT_CAP:
+        raise SpaceCapError(points, GRID_POINT_CAP, "grid points")
+
+
+def _parse_int_grid(spec: str) -> list[int]:
+    a, b, s = _grid_parts(spec, int)
+    _check_grid_points((b - a) // s + 1)
     return list(range(a, b + 1, s))
 
 
 def _parse_float_grid(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:step, got {spec!r}")
-    a, b, s = (float(p) for p in parts)
-    if s <= 0 or b < a:
-        raise ValueError(f"bad grid {spec!r}")
+    a, b, s = _grid_parts(spec, float)
+    if not all(map(math.isfinite, (a, b, s))):
+        raise ValueError(f"grid parts must be finite, got {spec!r}")
+    # the loop's count, up to the rounding of its sums; b - a may overflow to inf
+    span = (b - a + 1e-12) / s
+    _check_grid_points(math.floor(span) + 1 if span < math.inf else span)
     out = []
     v = a
     while v <= b + 1e-12:

@@ -294,16 +294,17 @@ def _walk_block(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: 
     """_walk over walkers lo .. hi-1, cut into contiguous pieces walked on up to threads threads.
 
     Pieces hold at most MAX_PIECE walkers, and there are enough of them to
-    give each thread one where every piece can keep MIN_PIECE.  Thread j
-    walks pieces j, j + workers, ...; the calling thread is thread 0, so a
-    block that gets one worker starts no thread.  numpy releases the GIL
+    give each thread one where every piece can keep MIN_PIECE.  They are
+    walked by at most as many threads as the process has CPUs
+    (thread_count()), the cut staying the same.  Thread j walks pieces j,
+    j + workers, ...; the calling thread is thread 0, so a block that gets
+    one worker starts no thread.  numpy releases the GIL
     inside its elementwise operations, so the threads run side by side.
     Walkers are pure functions of (seed, id), so the joined words equal
     those of one _walk over lo .. hi-1.
 
-    Where the calling thread may use at least as many CPUs as there are
-    threads, each thread is kept to its own share of them, and the calling
-    thread gets its CPUs back after.  Left free, the threads
+    Each thread is kept to its own share of the calling thread's CPUs, and
+    the calling thread gets its CPUs back after.  Left free, the threads
     wake each other for the GIL between numpy calls, and Linux tends to wake
     a thread on the CPU of the thread that woke it: the threads then take
     turns on one CPU, for seconds at a time.
@@ -314,9 +315,10 @@ def _walk_block(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: 
         return _walk(model, k, seed, lo, hi, charges)
     cuts = [lo + nb * i // pieces for i in range(pieces + 1)]
     parts = [None] * pieces
-    workers = min(threads, pieces)
+    # more threads than CPUs only add GIL hand-offs
+    workers = min(threads, pieces, thread_count())
     mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    cpus = sorted(mask) if len(mask) >= workers > 1 else None
+    cpus = sorted(mask) if workers > 1 and mask else None
 
     def walk(first):
         try:

@@ -96,9 +96,11 @@ SPECTRAL_MEASURE_GRID = [
     ModelSpec(Family.VARIANT, 10, 5),
     ModelSpec(Family.INDEPENDENT_FLIPS, 8, 3),
     # odd n, r < n/2: the split bounds ilo and ihi of the closed-form
-    # independent measure each clip for some (j, ell)
+    # independent measure each clip for some (j, ell), and both bounds of
+    # the paired measure's mult grid for some (j, ell, m)
     ModelSpec(Family.INDEPENDENT_FLIPS, 13, 5),
     ModelSpec(Family.PAIRED_FLIPS, 8, 4),
+    ModelSpec(Family.PAIRED_FLIPS, 13, 5),
 ]
 
 # one and three mask words per walker

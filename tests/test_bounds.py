@@ -1,5 +1,6 @@
 """Spectral bounds, spherical functions, moments, and the lower bound."""
 
+import hashlib
 import itertools
 import math
 import time
@@ -214,7 +215,7 @@ def test_exact_bound_equals_per_entry_fraction_sum(model, k):
 
 def _walker_measure(model):
     """The walker's nontrivial components grouped by eigenvalue numerator."""
-    trivial = (model.n, 0, 0)
+    trivial = catalog.trivial_label(model)
     grouped = {}
     for label, dim, mult, num in catalog._components(model):
         if label != trivial:
@@ -222,15 +223,55 @@ def _walker_measure(model):
     return grouped
 
 
+@pytest.mark.parametrize("family", [Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS], ids=lambda f: f.value)
 @pytest.mark.parametrize("n", [*range(2, 41), 64, 100, 200])
-def test_closed_form_independent_measure_equals_walker(n):
+def test_signed_measure_equals_walker(family, n):
     """Every r up to n = 40, and the balanced rack beyond."""
     for r in range(1, n // 2 + 1) if n <= 40 else [n // 2]:
-        model = ModelSpec(Family.INDEPENDENT_FLIPS, n, r)
+        model = ModelSpec(family, n, r)
         want = _walker_measure(model)
         measure = spectral_measure(model)
         assert dict(zip(measure.nums, measure.weights)) == want
         assert list(measure.nums) == sorted(want, reverse=True)
+        assert all(type(x) is int for x in measure.nums + measure.weights)
+
+
+def _reference_log_abs(num, den):
+    """log|num/den| per value with math.log/log1p, as the walker-grouped measure had it."""
+    a = abs(num)
+    if 2 * a >= den:
+        return math.log1p((a - den) / den)
+    return math.log(a / den) if a else -math.inf
+
+
+# sha256 over (den, nums, weights, log_total) and the bytes of log_abs and
+# log_weight of every model with n <= 12, taken from the walker-grouped
+# measure that the array form replaced
+MEASURE_DIGESTS = {
+    Family.CLASSICAL: "d292a7701ebc84d4c533765128d6c8a631c37e8662d9b60acfd4ce6ee71219c2",
+    Family.VARIANT: "ccfecbba668d958dbba88493383dedd62671233fe48a6a9cbc59f7964f6e19d9",
+    Family.INDEPENDENT_FLIPS: "55924f470a72f38961ae54387c8d94dc22a3ebe981f8539e3b5a54de7c1b3931",
+    Family.PAIRED_FLIPS: "95b97a8d4800892c234da09d4fd715f32503913b4a4e54bcb9a68a92e037ea67",
+}
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_measure_logs_equal_the_walker_grouped_values(family):
+    digest = hashlib.sha256()
+    for n in range(2, 13):
+        for r in range(1, n // 2 + 1):
+            model = ModelSpec(family, n, r)
+            measure = spectral_measure(model)
+            want = _walker_measure(model)
+            nums = sorted(want, reverse=True)
+            assert measure.nums == tuple(nums)
+            assert np.array_equal(measure.log_abs, [_reference_log_abs(x, measure.den) for x in nums])
+            assert np.array_equal(measure.log_weight, [math.log(want[x]) for x in nums])
+            assert measure.log_total == math.log(sum(want.values()))
+            digest.update(repr((measure.den, measure.nums, measure.weights, measure.log_total)).encode())
+            digest.update(measure.log_abs.tobytes())
+            digest.update(measure.log_weight.tobytes())
+    assert digest.hexdigest() == MEASURE_DIGESTS[family]
 
 
 @settings(max_examples=40, deadline=None)
@@ -421,6 +462,46 @@ def test_exact_sum_is_capped_by_total_size(family, n, r, k, terms):
         assert info.value.cap == bounds.EXACT_SUM_TOTAL_CAP
 
 
+def test_exact_sum_total_cap_is_checked_before_any_weight(monkeypatch):
+    # uncapped, the paired(200,100) measure alone took 0.67 s before the sum raised
+    def no_weights(model):
+        raise AssertionError("spectral measure built")
+
+    monkeypatch.setattr(bounds, "spectral_measure", no_weights)
+    monkeypatch.setattr(bounds, "_paired_weights", no_weights)
+    model = ModelSpec(Family.PAIRED_FLIPS, 200, 100)  # den = 40000, 16 bits
+    with pytest.raises(SpaceCapError) as info:
+        l2n_sq_bound(model, 2048, exact=True)
+    assert info.value.required == 2 * 2048 * 16 * 22824
+    assert info.value.cap == bounds.EXACT_SUM_TOTAL_CAP
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(Family.VARIANT, 40000, 20000),
+    ModelSpec(Family.CLASSICAL, 40000, 20000),
+    ModelSpec(Family.INDEPENDENT_FLIPS, 1000, 500),
+    ModelSpec(Family.PAIRED_FLIPS, 400, 200),
+], ids=str)
+def test_measure_size_cap_lets_the_large_measures_build(model):
+    bounds._check_measure_size(model)
+
+
+@pytest.mark.parametrize("model", [
+    ModelSpec(Family.VARIANT, 4 * 10**9, 2 * 10**9),
+    ModelSpec(Family.INDEPENDENT_FLIPS, 4000, 2000),
+    ModelSpec(Family.PAIRED_FLIPS, 1000, 500),
+], ids=str)
+def test_measure_size_cap_stops_a_build_before_it_starts(model):
+    # uncapped, variant(4e9, 2e9) was still walking components after 20 s
+    t0 = time.perf_counter()
+    for call in (lambda: spectral_measure(model), lambda: bound_curve(model, [5]),
+                 lambda: l2n_sq_bound(model, 5), lambda: l2n_sq_bound(model, 1, exact=True)):
+        with pytest.raises(SpaceCapError) as info:
+            call()
+        assert info.value.cap == bounds.MEASURE_SIZE_CAP
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_leading_l2_term():
     model = ModelSpec(Family.VARIANT, 200, 100)
     assert math.isclose(leading_l2_term(model, 64), 199 * 0.99**128, rel_tol=1e-12)
@@ -434,8 +515,12 @@ def test_theorem_k_values():
     assert theorem_k(ModelSpec(Family.INDEPENDENT_FLIPS, 100, 50), 4.0) == 216
     # classical coefficient r(1 - r/n)/2 halves at perfect balance
     assert theorem_k(ModelSpec(Family.CLASSICAL, 100, 50), 4.0) == 108
-    with pytest.raises(ValueError):
-        theorem_k(ModelSpec(Family.VARIANT, 100, 50), 0.0)
+    for c in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite c > 0"):
+            theorem_k(ModelSpec(Family.VARIANT, 100, 50), c)
+    # finite c, but a step count past the float range
+    with pytest.raises(ValueError, match="float range"):
+        theorem_k(ModelSpec(Family.VARIANT, 100, 50), 1e308)
 
 
 def test_theorem_k_actually_suffices():

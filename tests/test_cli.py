@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import pytest
 from urnmix import bounds, cli, montecarlo, verify
 from urnmix.chains import initial_state, kernel_row
 from urnmix.exact import enumerate_states
-from urnmix.models import Family, ModelSpec
+from urnmix.models import Family, ModelSpec, SpaceCapError
 
 GOLDEN_CLI = json.loads(
     (Path(__file__).resolve().parent.parent / "bench" / "golden_cli.json").read_text()
@@ -240,6 +241,9 @@ def test_simulate_reproducible_checksum(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads, used", [("1", 1), ("2", 2)])
 def test_simulate_walks_on_the_requested_threads(threads, used, capsys, monkeypatch):
+    # two CPUs, whatever this machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(montecarlo, "_pin", lambda cpus: None)
     idents = set()
     walk = montecarlo._walk
 
@@ -337,6 +341,41 @@ def test_bounds_sum_cap_exit(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "cap" in err
+
+
+# inputs that once crashed with a traceback or never returned
+EDGE_ARGVS = [
+    (["--n", "10", "--r", "5", "--c", "inf"], 2),
+    (["--n", "10", "--r", "5", "--c", "1e400"], 2),
+    (["--n", "10", "--r", "5", "--c", "1e308"], 2),  # finite, but theorem_k is not
+    (["--n", "10", "--r", "5", "--c-grid", "1:inf:1"], 2),
+    (["--n", "10", "--r", "5", "--c-grid", "1:2:nan"], 2),
+    (["--n", "10", "--r", "5", "--c-grid", "0:1e300:1e-300"], 3),
+    (["--n", "10", "--r", "5", "--k-grid", "0:10000000000:1"], 3),
+    (["--n", "4000000000", "--r", "2000000000", "--k", "5"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, want", EDGE_ARGVS, ids=lambda a: " ".join(a) if isinstance(a, list) else None)
+def test_bounds_edge_inputs_exit_cleanly(argv, want):
+    src = Path(cli.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "urnmix.cli", "bounds", "--family", "variant", *argv],
+        cwd=src, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == want, done.stderr
+    assert done.stdout == "" and "Traceback" not in done.stderr
+
+
+def test_grids_are_capped_before_they_are_built(monkeypatch):
+    monkeypatch.setattr(cli, "GRID_POINT_CAP", 5)
+    assert cli._parse_int_grid("0:8:2") == [0, 2, 4, 6, 8]
+    assert cli._parse_float_grid("1:3:0.5") == [1.0, 1.5, 2.0, 2.5, 3.0]
+    for parse, spec, points in ((cli._parse_int_grid, "0:10:2", 6), (cli._parse_int_grid, f"0:{10**400}:1", 10**400 + 1),
+                                (cli._parse_float_grid, "1:3.5:0.5", 6), (cli._parse_float_grid, "0:1e300:1e-300", math.inf)):
+        with pytest.raises(SpaceCapError) as info:
+            parse(spec)
+        assert info.value.required == points
 
 
 def test_simulate_seed_env_fallback(capsys, monkeypatch):

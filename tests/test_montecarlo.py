@@ -75,6 +75,12 @@ def test_config_accepts_numpy_walkers_and_seed():
     assert (got.mean_s1, got.stderr_s1) == (want.mean_s1, want.stderr_s1)
 
 
+def allow_cpus(monkeypatch, count):
+    """Make the process look as if it may use count CPUs; pin no thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(montecarlo, "_pin", lambda cpus: None)
+
+
 def _record_walks(monkeypatch):
     """Wrap montecarlo._walk; return the list of (thread name, lo, hi) it is called with.
 
@@ -113,17 +119,20 @@ def test_thread_count_bounds():
 
 
 @pytest.mark.parametrize(
-    "walkers, threads, pieces, used",
+    "walkers, threads, cpus, pieces, used",
     [
-        (2 * montecarlo.MIN_PIECE + 5, 1, 2, 1),
-        (2 * montecarlo.MIN_PIECE + 5, 2, 2, 2),
-        (2 * montecarlo.MIN_PIECE + 5, 8, 2, 2),
-        (3 * montecarlo.MIN_PIECE, 3, 3, 3),
-        (4 * montecarlo.MAX_PIECE, 2, 4, 2),
+        (2 * montecarlo.MIN_PIECE + 5, 1, 8, 2, 1),
+        (2 * montecarlo.MIN_PIECE + 5, 2, 8, 2, 2),
+        (2 * montecarlo.MIN_PIECE + 5, 8, 8, 2, 2),
+        (3 * montecarlo.MIN_PIECE, 3, 8, 3, 3),
+        (4 * montecarlo.MAX_PIECE, 2, 8, 4, 2),
+        # more threads than CPUs: the same pieces, on no more threads than CPUs
+        (8 * montecarlo.MIN_PIECE, 8, 2, 8, 2),
     ],
 )
-def test_blocks_split_across_threads(walkers, threads, pieces, used, monkeypatch):
+def test_blocks_split_across_threads(walkers, threads, cpus, pieces, used, monkeypatch):
     """A block is cut into contiguous pieces of MIN_PIECE to MAX_PIECE walkers, on up to threads threads."""
+    allow_cpus(monkeypatch, cpus)
     calls = _record_walks(monkeypatch)
     run(SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, walkers, 1), block_size=walkers, threads=threads)
     assert len(calls) == pieces
