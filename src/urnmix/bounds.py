@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog
-from .catalog import eig_classical
+from .catalog import MEASURE_SIZE_CAP, eig_classical
 from .models import Family, ModelSpec, SpaceCapError, step_count
 
 __all__ = [
@@ -69,13 +69,6 @@ EXACT_SUM_BIT_CAP = 1 << 16
 # at EXACT_SUM_BIT_CAP.  The n = 200 cutoff sum has 100 (1.15e6 bits);
 # paired(64,32) at k = 2,520 has 2,096 (1.4e8) and took 1 s on 2 vCPUs.
 EXACT_SUM_TOTAL_CAP = 1 << 24
-
-# Components times weight bits a spectral measure may take to build, as
-# estimated by _check_measure_size before any weight is formed.  On 2 vCPUs
-# variant(40000, 20000) (8.0e8) builds in 0.3 s, independent(1000, 500)
-# (1.0e9) in 1.5 s and paired(400, 200) (3.3e9) in 1.6 s.
-MEASURE_SIZE_CAP = 1 << 32
-
 
 @dataclass(frozen=True)
 class BoundCurvePoint:
@@ -224,35 +217,15 @@ def _distinct_eigenvalues(model: ModelSpec) -> int:
     return int(np.count_nonzero(seen))
 
 
-def _check_measure_size(model: ModelSpec) -> None:
-    """SpaceCapError if the measure build would pass MEASURE_SIZE_CAP.
-
-    The size is components times weight bits, bounded from n and r alone:
-    weights are below |X| <= 2^n C(n,r) < 4^n (2^n unsigned), and the build
-    walks r + 1 rows (unsigned), (j, l) pairs (independent) or (j, l, m)
-    cells (paired).  For each j there are at most j/2 + 1 values of l and
-    (n-j)/2 + 1 of m, whose product is at most (n/4 + 1)^2.
-    """
-    n = model.n
-    if model.family is Family.PAIRED_FLIPS:
-        size = (n + 1) * (n // 4 + 2) ** 2 * 2 * n
-    elif model.family is Family.INDEPENDENT_FLIPS:
-        size = (n + 1) * (n // 2 + 1) * 2 * n
-    else:
-        size = (model.r + 1) * n
-    if size > MEASURE_SIZE_CAP:
-        raise SpaceCapError(size, MEASURE_SIZE_CAP, "spectral measure components times weight bits")
-
-
 def spectral_measure(model: ModelSpec) -> SpectralMeasure:
     """Group the nontrivial components by eigenvalue, summing exact weights.
 
     Independent flips use the O(n^2) closed form and paired flips one numpy
     pass per j over the component grid; the unsigned rows are already one
     per eigenvalue, in descending order.  SpaceCapError, before any weight
-    is formed, past MEASURE_SIZE_CAP (see _check_measure_size).
+    is formed, past MEASURE_SIZE_CAP (see catalog._check_measure_size).
     """
-    _check_measure_size(model)
+    catalog._check_measure_size(model, closed_form=True)
     if model.family is Family.INDEPENDENT_FLIPS:
         grouped = _independent_weights(model.n, model.r)
         nums = sorted(grouped, reverse=True)
@@ -362,8 +335,6 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
     than EXACT_SUM_BIT_CAP bits, or all its terms more than EXACT_SUM_TOTAL_CAP.
     """
     k = step_count(k)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     if not exact:
         if entries is not None:
             raise ValueError("entries apply to exact mode; use bound_curve for float sweeps")
@@ -374,7 +345,7 @@ def l2n_sq_bound(model: ModelSpec, k: int, exact: bool = False, entries=None):
         raise SpaceCapError(bits, EXACT_SUM_BIT_CAP, "exact spectral sum denominator bits")
     if entries is None:
         # the terms are counted from the numerators, before any weight is formed
-        _check_measure_size(model)
+        catalog._check_measure_size(model, closed_form=True)
         terms = _distinct_eigenvalues(model)
     else:
         nums, weights = _entry_numerators(model, entries)
@@ -487,8 +458,7 @@ def variance_ratio(n: int, r: int, k: int) -> float:
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     ModelSpec(Family.VARIANT, n, r)
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    k = step_count(k)
     shrink = 1 - 2 / n
     ef_sq = (n - 1) * shrink ** (2 * k)
     gap = n * n - (n - 2 * r) ** 2

@@ -24,7 +24,13 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, SpaceCapError
+
+# Components times weight bits a catalog or spectral measure may take to build,
+# as estimated by _check_measure_size.  On 2 vCPUs the measures of variant(40000,
+# 20000) (8.0e8) build in 0.3 s, independent(1000, 500) (1.0e9) in 1.5 s and
+# paired(400, 200) (3.3e9) in 1.6 s.
+MEASURE_SIZE_CAP = 1 << 32
 
 
 def dim_two_row(n: int, i: int) -> int:
@@ -206,6 +212,25 @@ def _components(model: ModelSpec):
         choose = choose * rest // (j + 1)
 
 
+def _check_measure_size(model: ModelSpec, closed_form: bool = False) -> None:
+    """SpaceCapError if building the components would pass MEASURE_SIZE_CAP.
+
+    The size is components times weight bits, bounded from n and r alone:
+    weights are below |X| < 4^n (2^n unsigned), and the build walks r + 1
+    rows (unsigned) or at most (n/4 + 1)^2 (l, m) cells for each j (signed);
+    closed_form counts the (j, l) pairs of the independent-flips closed form.
+    """
+    n = model.n
+    if closed_form and model.family is Family.INDEPENDENT_FLIPS:
+        size = (n + 1) * (n // 2 + 1) * 2 * n
+    elif model.family.signed:
+        size = (n + 1) * (n // 4 + 2) ** 2 * 2 * n
+    else:
+        size = (model.r + 1) * n
+    if size > MEASURE_SIZE_CAP:
+        raise SpaceCapError(size, MEASURE_SIZE_CAP, "components times weight bits")
+
+
 def catalog_entries(model: ModelSpec) -> list[IrrepEntry]:
     """The component table of a model, in (i) or (j, l, m) order.
 
@@ -215,8 +240,10 @@ def catalog_entries(model: ModelSpec) -> list[IrrepEntry]:
     admissible splits i (rack-1 balls carried by the first shape): i runs
     over max(l, r-(n-j)) .. min(r, j-l) subject to m <= min(r-i, (n-j)-(r-i)).
     The weighted dims sum to 2^n * C(n,r).  Each distinct eigenvalue is
-    one shared Fraction.
+    one shared Fraction.  SpaceCapError, before any row is built, past
+    MEASURE_SIZE_CAP (see _check_measure_size).
     """
+    _check_measure_size(model)
     den = _eigen_den(model)
     label = SignedIrrep if model.family.signed else UnsignedIrrep
     lams: dict[int, Fraction] = {}

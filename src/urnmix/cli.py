@@ -81,12 +81,9 @@ def _thread_count(text: str) -> int:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    env = os.environ.get("URNMIX_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    return int(os.environ.get("URNMIX_SEED", 0))
 
 
 def _model_of(args) -> ModelSpec:
@@ -153,8 +150,6 @@ def cmd_bounds(args) -> int:
 
     if args.k is not None or args.k_grid is not None:
         ks = [args.k] if args.k is not None else _parse_int_grid(args.k_grid)
-        if ks and ks[0] < 0:
-            raise ValueError("step counts must be nonnegative")
         points = bounds.bound_curve(model, ks)
         lines = ["k,l2n_sq_bound,tv_upper_raw,tv_upper_clamped"]
         for p in points:
@@ -164,8 +159,6 @@ def cmd_bounds(args) -> int:
         params = {"k_grid": ks}
     else:
         cs = [args.c] if args.c is not None else _parse_float_grid(args.c_grid)
-        if any(c <= 0 for c in cs):
-            raise ValueError("c must be positive")
         is_variant = model.family is Family.VARIANT
         header = "c,theorem_k"
         if is_variant:
@@ -296,13 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=int, required=True, help="number of balls")
             p.add_argument("--r", type=int, required=True, help="rack-1 size (<= n/2)")
         p.add_argument("--output", help="write the result here instead of stdout")
-        p.add_argument(
-            "--threads",
-            type=_thread_count,
-            default=thread_count(),
-            help=f"1..{MAX_THREADS}, default the CPUs this process may use; simulate splits each "
-            "block of walkers across them, with the same output for any count",
-        )
 
     p = sub.add_parser("catalog", help="component catalog as CSV")
     add_common(p)
@@ -330,6 +316,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--walkers", type=int, required=True, help="number of walkers")
     p.add_argument("--seed", type=int, help="seed (default: URNMIX_SEED or 0)")
     p.add_argument("--states-out", help="stream terminal states to this binary file")
+    p.add_argument(
+        "--threads",
+        type=_thread_count,
+        default=thread_count(),
+        help=f"1..{MAX_THREADS}, default the CPUs this process may use; each block of walkers "
+        "is split across them, with the same output for any count",
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("verify", help="run the self-check suites")

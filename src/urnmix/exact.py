@@ -3,10 +3,12 @@
 States are indexed by colexicographic subset rank; signed states add the
 charge word as the high part, index = signs * C(n,r) + subset_rank.  Every
 exact path reads one integer kernel table, built with numpy: per source
-index, the distinct targets ascending and their integer weights in units of
-1/step_units(model).  Float and rational evolution share one stepping loop
-over it.  A float law is a float64 array, scattered with bincount, and is
-deterministic for a fixed model (no parallel reductions).  A rational law
+index, the distinct targets in merged order and their integer weights in
+units of 1/step_units(model).  Float and rational evolution share one
+stepping loop over it.  A float law is a float64 array, scattered with
+bincount, and is deterministic for a fixed model (no parallel reductions):
+bincount adds each target's contributions in source-row order, so the order
+of the targets inside a row changes no bit.  A rational law
 is an object array of Python-int numerators over the common denominator
 step_units(model)^k, scattered with np.add.at, so results are exact and
 bitwise reproducible; a Fraction is built once per answer, never per
@@ -33,7 +35,7 @@ from .chains import (
     subset_rank,
     subset_unrank,
 )
-from .models import Family, ModelSpec, SpaceCapError, space_size, step_count
+from .models import Family, ModelSpec, SpaceCapError, checked_space_size, space_size, step_count
 
 __all__ = [
     "SpaceCapError",
@@ -156,12 +158,14 @@ def _subsets(bits: np.ndarray, r: int):
 def _kernel_table(model: ModelSpec):
     """The aggregated kernel in CSR form: (counts, targets, units).
 
-    Row s (source index s) holds counts[s] distinct targets, ascending, with
+    Row s (source index s) holds counts[s] distinct targets, in merged order
+    (move order unsigned, see _signed_table for the signed rows), with
     integer weights units in 1/step_units(model); targets are intp, which
     bincount takes without a cast.  Target subsets are ranked among the
     sorted rack masks by searchsorted, so no state object or Fraction is
     built per entry.  chains.kernel_row, the sampler counted over all its
-    draws, is the oracle this table equals entry for entry.
+    draws, is the oracle this table equals row for row, as sets of (target,
+    units) pairs.
     """
     bits = _ball_bits(model.n)
     masks, inside = _subsets(bits, model.r)
@@ -176,37 +180,36 @@ def _kernel_table(model: ModelSpec):
 
 
 def _unsigned_table(model: ModelSpec, bits, masks, inside):
-    """Unsigned rows, all of width r(n-r) plus the variant chain's hold entry.
+    """Unsigned rows in move order: the r(n-r) swaps, then the variant chain's hold.
 
     Every swap of a rack-1 ball with a rack-2 ball reaches a distinct
     subset, so no two entries of a row share a target.
     """
     n, r = model.n, model.r
     base = len(masks)
-    own = np.arange(base)[:, None]
     members = np.nonzero(inside)[1].reshape(base, r)
     others = np.nonzero(~inside)[1].reshape(base, n - r)
     swapped = masks[:, None, None] ^ bits[members][:, :, None] ^ bits[others][:, None, :]
     targets = np.searchsorted(masks, swapped.reshape(base, -1))
     del swapped
     if model.family is Family.VARIANT:
-        targets = np.concatenate([targets, own], axis=1)
-        targets.sort(axis=1)
-        units = np.where(targets == own, n * n - 2 * r * (n - r), 2)
+        targets = np.concatenate([targets, np.arange(base)[:, None]], axis=1)
+        units = np.full(targets.shape, 2, dtype=np.int64)
+        units[:, -1] = n * n - 2 * r * (n - r)
     else:
-        targets.sort(axis=1)
         units = np.ones(targets.shape, dtype=np.int64)
     counts = np.full(base, targets.shape[1], dtype=np.intp)
     return counts, targets.ravel(), units.ravel()
 
 
 def _signed_table(model: ModelSpec, bits, masks, inside):
-    """Signed rows, built one charge word at a time.
+    """Signed rows: merged once at charge word 0, then laid out for all 2^n.
 
     A move is a rack change (none, or the swap of an unordered ball pair)
-    with a charge flip word and its units.  Neither the target's subset
-    rank nor which moves of a row land on the same target depends on the
-    charge word, so every charge word yields the same row lengths.
+    with a charge flip word and its units.  A row's moves are merged by
+    sorting their targets from charge word 0, flip * C(n,r) + subset rank.
+    The kernel commutes with flipping charges, so one broadcast XOR of each
+    charge word into those flips lays out every row; counts and units repeat.
     """
     n = model.n
     base = len(masks)
@@ -230,29 +233,23 @@ def _signed_table(model: ModelSpec, bits, masks, inside):
         axis=1,
     )
     del pair_rank
-    width = None
-    for signs in range(1 << n):
-        block = (signs ^ flips) * base + rank
-        order = np.argsort(block, axis=1)
-        block = np.take_along_axis(block, order, axis=1)
-        fresh = np.ones(block.shape, dtype=bool)
-        fresh[:, 1:] = block[:, 1:] != block[:, :-1]
-        starts = np.flatnonzero(fresh)
-        if width is None:
-            width = len(starts)
-            counts = np.tile(fresh.sum(axis=1), 1 << n)
-            targets = np.empty(width << n, dtype=np.intp)
-            units = np.empty(width << n, dtype=np.int64)
-        piece = slice(signs * width, (signs + 1) * width)
-        targets[piece] = block.ravel()[starts]
-        units[piece] = np.add.reduceat(move_units[order].ravel(), starts)
-    return counts, targets, units
+    keys = flips * base + rank
+    order = np.argsort(keys, axis=1)
+    keys = np.take_along_axis(keys, order, axis=1)
+    fresh = np.ones(keys.shape, dtype=bool)
+    fresh[:, 1:] = keys[:, 1:] != keys[:, :-1]
+    starts = np.flatnonzero(fresh)
+    flip, rank = np.divmod(keys.ravel()[starts], base)
+    targets = np.bitwise_xor(np.arange(1 << n)[:, None], flip, dtype=np.intp)
+    targets *= base
+    targets += rank
+    units = np.tile(np.add.reduceat(move_units[order].ravel(), starts), 1 << n)
+    counts = np.tile(fresh.sum(axis=1), 1 << n)
+    return counts, targets.ravel(), units
 
 
 def evolve(model: ModelSpec, k: int, exact: bool = False) -> Distribution:
     """Law of the chain after k steps from the deterministic initial state."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     for _, dist in evolve_sequence(model, [k], exact=exact):
         pass
     return dist
@@ -264,19 +261,15 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
     The yielded distributions are fresh copies and safe to keep.
     """
     ks = sorted({step_count(k) for k in ks})
-    if not ks or ks[0] < 0:
+    if not ks:
         raise ValueError(f"bad step grid {ks}")
-    n_states = space_size(model)
-    if exact:
-        if n_states > RATIONAL_STATE_CAP:
-            raise SpaceCapError(n_states, RATIONAL_STATE_CAP, "rational evolution state count")
-        if ks[-1] > RATIONAL_STEP_CAP:
-            raise SpaceCapError(ks[-1], RATIONAL_STEP_CAP, "rational step count")
-    else:
-        if n_states > FLOAT_STATE_CAP:
-            raise SpaceCapError(n_states, FLOAT_STATE_CAP, "evolution state count")
-        if ks[-1] > FLOAT_STEP_CAP:
-            raise SpaceCapError(ks[-1], FLOAT_STEP_CAP, "evolution step count")
+    state_cap, step_cap, kind = (
+        (RATIONAL_STATE_CAP, RATIONAL_STEP_CAP, "rational evolution") if exact
+        else (FLOAT_STATE_CAP, FLOAT_STEP_CAP, "evolution")
+    )
+    n_states = checked_space_size(model, state_cap, f"{kind} state count")
+    if ks[-1] > step_cap:
+        raise SpaceCapError(ks[-1], step_cap, f"{kind} step count")
 
     counts, targets, units = _kernel_table(model)
     step = step_units(model)
@@ -377,9 +370,7 @@ def subset_marginal(dist: Distribution) -> Distribution:
 
 
 def _dense_kernel(model: ModelSpec) -> np.ndarray:
-    n_states = space_size(model)
-    if n_states > DENSE_CAP:
-        raise SpaceCapError(n_states, DENSE_CAP, "dense kernel state count")
+    n_states = checked_space_size(model, DENSE_CAP, "dense kernel state count")
     counts, targets, units = _kernel_table(model)
     mat = np.zeros((n_states, n_states))
     mat[np.repeat(np.arange(n_states), counts), targets] = units / step_units(model)

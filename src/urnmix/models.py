@@ -57,10 +57,11 @@ class ModelSpec:
 class SpaceCapError(RuntimeError):
     """The computation is larger than the requested resource cap."""
 
-    def __init__(self, required: int, cap: int, what: str):
+    def __init__(self, required: int, cap: int, what: str, at_least: bool = False):
         self.required = required
         self.cap = cap
-        super().__init__(f"{what} needs {required} but the cap is {cap}")
+        self.at_least = at_least  # required is then a lower bound of what it needs
+        super().__init__(f"{what} needs {'at least ' * at_least}{required} but the cap is {cap}")
 
 
 def space_size(model: ModelSpec) -> int:
@@ -69,6 +70,26 @@ def space_size(model: ModelSpec) -> int:
     if model.family.signed:
         return (1 << model.n) * base
     return base
+
+
+def checked_space_size(model: ModelSpec, cap: int, what: str) -> int:
+    """space_size(model), or SpaceCapError past cap; at_least when a lower bound shows it.
+
+    Past 4096 balls comb(n, r) is not formed.  C(n, i) rises with i up to
+    n/2, so the walk to C(n, r), from 2^n taken at most to cap's bit length
+    for a signed family, stops at the first partial product past the cap.
+    """
+    n, r = model.n, model.r
+    if n <= 1 << 12:  # comb(n, r) takes microseconds
+        size, i = space_size(model), r
+    else:
+        size, i = 1 << min(n if model.family.signed else 0, cap.bit_length()), 0
+    while i < r and size <= cap:
+        size = size * (n - i) // (i + 1)
+        i += 1
+    if size > cap:
+        raise SpaceCapError(size, cap, what, at_least=i < r)
+    return size
 
 
 def as_int(value, what: str) -> int:
@@ -82,8 +103,11 @@ def as_int(value, what: str) -> int:
 
 
 def step_count(k) -> int:
-    """k as a Python int; ValueError unless it is an integer."""
-    return as_int(k, "step count")
+    """k as a Python int; ValueError unless it is an integer k >= 0."""
+    k = as_int(k, "step count")
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    return k
 
 
 # the most threads any computation may start

@@ -162,26 +162,25 @@ def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
     """Compare an integer kernel table (counts, targets, units) with kernel_row.
 
     kernel_row counts chains.step over all its draws, so this compares the
-    sampler itself with the table.  Targets must be intp; counts, targets
-    and units must equal kernel_row's rows, each weight scaled to integer
-    units of 1/step_units; and the table must be symmetric with every row
-    summing to step_units, so kernel_row's rows sum to 1 exactly.
+    sampler itself with the table.  Targets must be intp; each row must hold
+    kernel_row's (target, weight) pairs, in any order, with each weight
+    scaled to integer units of 1/step_units; and the table must be symmetric
+    with every row summing to step_units, so kernel_row's rows sum to 1
+    exactly.
     """
     label = _label(model)
     counts, targets, units = table
     if targets.dtype != np.intp:
         return f"{label}: kernel table targets are {targets.dtype}, not intp"
     step = chains.step_units(model)
-    want = ([], [], [])
-    for s in exact.enumerate_states(model):
-        row = chains.kernel_row(model, s).entries
-        want[0].append(len(row))
-        for t, w in row:
-            want[1].append(exact.state_index(model, t))
-            want[2].append(w * step)
-    for name, got, expected in zip(("counts", "targets", "units"), table, want):
-        if got.tolist() != expected:
-            return f"{label}: kernel table {name} differ from kernel_row"
+    rows = [chains.kernel_row(model, s).entries for s in exact.enumerate_states(model)]
+    if counts.tolist() != [len(row) for row in rows] or not len(targets) == len(units) == counts.sum():
+        return f"{label}: kernel table row lengths differ from kernel_row"
+    pairs = list(zip(targets.tolist(), units.tolist()))
+    # kernel_row's targets are distinct, so equal sets of equal length are equal rows
+    for source, (row, end) in enumerate(zip(rows, np.cumsum(counts).tolist())):
+        if set(pairs[end - len(row) : end]) != {(exact.state_index(model, t), w * step) for t, w in row}:
+            return f"{label}: kernel table row {source} differs from kernel_row"
     n_states = space_size(model)
     mat = np.zeros((n_states, n_states), dtype=np.int64)
     mat[np.repeat(np.arange(n_states), counts), targets] = units

@@ -483,7 +483,7 @@ def test_exact_sum_total_cap_is_checked_before_any_weight(monkeypatch):
     ModelSpec(Family.PAIRED_FLIPS, 400, 200),
 ], ids=str)
 def test_measure_size_cap_lets_the_large_measures_build(model):
-    bounds._check_measure_size(model)
+    catalog._check_measure_size(model, closed_form=True)
 
 
 @pytest.mark.parametrize("model", [

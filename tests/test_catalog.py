@@ -20,7 +20,7 @@ from urnmix.catalog import (
     total_weight,
     trivial_label,
 )
-from urnmix.models import Family, ModelSpec
+from urnmix.models import Family, ModelSpec, SpaceCapError
 from urnmix.verify import reference_catalog
 
 
@@ -188,3 +188,19 @@ def test_catalog_large_unsigned_dims_from_recurrence():
     assert entries[1].dim == 2999
     assert entries[-1].dim == math.comb(3000, 1500) - math.comb(3000, 1499)
     assert total_weight(entries) == math.comb(3000, 1500)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_catalog_is_capped_before_it_is_walked(family):
+    """The catalog shares the spectral measure's size check, so a huge n stops at once."""
+    with pytest.raises(SpaceCapError) as info:
+        catalog_entries(ModelSpec(family, 4 * 10**9, 2 * 10**9))
+    assert info.value.cap == catalog.MEASURE_SIZE_CAP
+
+
+def test_catalog_size_counts_every_signed_component():
+    # the closed-form independent measure builds at n = 1000; the catalog walks n^3/16 components
+    model = ModelSpec(Family.INDEPENDENT_FLIPS, 1000, 500)
+    catalog._check_measure_size(model, closed_form=True)
+    with pytest.raises(SpaceCapError):
+        catalog_entries(model)

@@ -316,11 +316,28 @@ def test_start_up_is_numpy_free(probe, argv, want):
 @pytest.mark.parametrize("threads", ["0", "-1", "65", "1000000", "two"])
 def test_threads_out_of_range_is_usage_error(threads, capsys):
     code, out, err = run_cli(
-        capsys, "catalog", "--family", "variant", "--n", "4", "--r", "2", "--threads", threads
+        capsys, "simulate", "--family", "variant", "--n", "4", "--r", "2",
+        "--k", "1", "--walkers", "1", "--threads", threads,
     )
     assert code == 2
     assert out == ""
     assert "--threads" in err
+
+
+@pytest.mark.parametrize("command", ["catalog", "bounds", "exact", "verify"])
+def test_only_simulate_takes_threads(command, capsys):
+    """The other subcommands never read a thread count, so they do not take one."""
+    model = [] if command == "verify" else ["--family", "variant", "--n", "4", "--r", "2"]
+    code, out, err = run_cli(capsys, command, *model, "--threads", "2")
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
+def test_manifest_records_threads_only_for_simulate(capsys):
+    code, _, err = run_cli(capsys, "catalog", "--family", "variant", "--n", "4", "--r", "2")
+    assert code == 0
+    assert json.loads(err)["threads"] is None
 
 
 def test_exact_rational_sum_cap_exit(capsys, monkeypatch):
@@ -344,24 +361,29 @@ def test_bounds_sum_cap_exit(capsys, monkeypatch):
 
 
 # inputs that once crashed with a traceback or never returned
+HUGE = ["--family", "variant", "--n", "4000000000", "--r", "2000000000"]
 EDGE_ARGVS = [
-    (["--n", "10", "--r", "5", "--c", "inf"], 2),
-    (["--n", "10", "--r", "5", "--c", "1e400"], 2),
-    (["--n", "10", "--r", "5", "--c", "1e308"], 2),  # finite, but theorem_k is not
-    (["--n", "10", "--r", "5", "--c-grid", "1:inf:1"], 2),
-    (["--n", "10", "--r", "5", "--c-grid", "1:2:nan"], 2),
-    (["--n", "10", "--r", "5", "--c-grid", "0:1e300:1e-300"], 3),
-    (["--n", "10", "--r", "5", "--k-grid", "0:10000000000:1"], 3),
-    (["--n", "4000000000", "--r", "2000000000", "--k", "5"], 3),
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--c", "inf"], 2),
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--c", "1e400"], 2),
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--c", "1e308"], 2),  # finite, but theorem_k is not
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--c-grid", "1:inf:1"], 2),
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--c-grid", "1:2:nan"], 2),
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--c-grid", "0:1e300:1e-300"], 3),
+    (["bounds", "--family", "variant", "--n", "10", "--r", "5", "--k-grid", "0:10000000000:1"], 3),
+    (["bounds", *HUGE, "--k", "5"], 3),
+    (["catalog", *HUGE], 3),
+    (["exact", *HUGE, "--k", "1", "--rational"], 3),
+    (["simulate", *HUGE, "--k", "1", "--walkers", "1"], 3),
+    (["simulate", "--family", "variant", "--n", "100000000", "--r", "2", "--k", "1", "--walkers", "1000"], 3),
 ]
 
 
 @pytest.mark.parametrize("argv, want", EDGE_ARGVS, ids=lambda a: " ".join(a) if isinstance(a, list) else None)
-def test_bounds_edge_inputs_exit_cleanly(argv, want):
+def test_edge_inputs_exit_cleanly(argv, want):
     src = Path(cli.__file__).resolve().parent.parent
     done = subprocess.run(
-        [sys.executable, "-O", "-m", "urnmix.cli", "bounds", "--family", "variant", *argv],
-        cwd=src, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-O", "-m", "urnmix.cli", *argv],
+        cwd=src, capture_output=True, text=True, timeout=20,
     )
     assert done.returncode == want, done.stderr
     assert done.stdout == "" and "Traceback" not in done.stderr

@@ -1,7 +1,9 @@
 """Exact distribution evolution, distances, spectra, identities."""
 
 import gc
+import hashlib
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -31,7 +33,7 @@ from urnmix.exact import (
     tv_distance,
     _kernel_table,
 )
-from urnmix.models import Family, ModelSpec
+from urnmix.models import Family, ModelSpec, checked_space_size, step_count
 from urnmix.verify import kernel_table_mismatch
 
 
@@ -369,6 +371,42 @@ def test_space_caps(monkeypatch):
     assert str(err.cap) in str(err)
 
 
+def test_checked_space_size_is_space_size_within_the_cap():
+    for family in Family:
+        for n in range(2, 30):
+            for r in range(1, n // 2 + 1):
+                model = ModelSpec(family, n, r)
+                size = space_size(model)
+                for cap in (1, 100, 10**4, 10**6, size):
+                    if size <= cap:
+                        assert checked_space_size(model, cap, "states") == size
+                        continue
+                    with pytest.raises(SpaceCapError) as info:
+                        checked_space_size(model, cap, "states")
+                    assert (info.value.required, info.value.at_least) == (size, False)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_space_caps_take_no_time_at_huge_n(family):
+    """comb(4e9, 2e9) alone would run for minutes; the caps stop before forming it."""
+    model = ModelSpec(family, 4 * 10**9, 2 * 10**9)
+    t0 = time.perf_counter()
+    for exact_mode in (False, True):
+        with pytest.raises(SpaceCapError) as info:
+            evolve(model, 1, exact=exact_mode)
+        assert info.value.at_least and info.value.required > info.value.cap
+        assert "needs at least" in str(info.value)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_negative_step_counts_are_rejected():
+    model = ModelSpec(Family.VARIANT, 6, 3)
+    for call in (lambda: step_count(-1), lambda: evolve(model, -1), lambda: evolve(model, -1, exact=True),
+                 lambda: list(evolve_sequence(model, [2, -1])), lambda: distance_curve(model, [-3])):
+        with pytest.raises(ValueError, match="k >= 0"):
+            call()
+
+
 def test_distribution_csv_roundtrip():
     model = ModelSpec(Family.VARIANT, 4, 2)
     dist = evolve(model, 2)
@@ -427,22 +465,63 @@ def test_kernel_table_check_catches_one_target_off_by_one():
             assert kernel_table_mismatch(model, (counts, bad, units)) is not None
 
 
+def _assert_rows_match_kernel_row(model, table, sources):
+    """Rows at the given source indices hold kernel_row's (target, units) pairs, in any order."""
+    counts, targets, units = table
+    assert targets.dtype == np.intp
+    assert len(counts) == space_size(model)
+    ends = np.cumsum(counts)
+    for idx in sources:
+        row = kernel_row(model, state_at(model, idx))
+        got = slice(ends[idx] - counts[idx], ends[idx])
+        assert counts[idx] == len(row.entries)
+        assert set(zip(targets[got].tolist(), units[got].tolist())) == {
+            (state_index(model, t), int(w * step_units(model))) for t, w in row.entries
+        }
+
+
 def test_kernel_table_rows_above_62_balls():
     """Masks beyond 62 balls are Python ints; the table is the same kind."""
     for model in (ModelSpec(Family.VARIANT, 70, 1), ModelSpec(Family.CLASSICAL, 64, 2)):
-        counts, targets, units = _kernel_table(model)
-        assert targets.dtype == np.intp
-        assert len(counts) == space_size(model)
-        for idx in (0, 7, space_size(model) - 1):
-            start = int(counts[:idx].sum())
-            row = kernel_row(model, state_at(model, idx))
-            assert counts[idx] == len(row.entries)
-            assert targets[start : start + counts[idx]].tolist() == [
-                state_index(model, t) for t, _ in row.entries
-            ]
-            assert units[start : start + counts[idx]].tolist() == [
-                int(w * step_units(model)) for _, w in row.entries
-            ]
+        size = space_size(model)
+        _assert_rows_match_kernel_row(model, _kernel_table(model), (0, 7, size - 1))
+
+
+@pytest.mark.parametrize("family", [Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS])
+def test_signed_rows_at_far_charge_words(family):
+    """Rows laid out by the charge-word XOR equal kernel_row at words 0, 2^n - 1 and between.
+
+    At 64,512 states the full oracle is too slow, so rows are sampled at the
+    first, a middle and the last charge word, at both ends of the subsets.
+    """
+    model = ModelSpec(family, 9, 4)
+    base = math.comb(9, 4)
+    sources = [signs * base + rank for signs in (0, 0b101100110, (1 << 9) - 1) for rank in (0, 57, base - 1)]
+    _assert_rows_match_kernel_row(model, _kernel_table(model), sources)
+
+
+# sha256 of evolve(model, k).probs.tobytes(), recorded before the kernel
+# table stopped sorting its rows: the order inside a row changes no float bit
+FLOAT_LAW_DIGESTS = {
+    ("classical", 8, 4, 1): "70b762e46a3b99a625ba576ce3175d2db498cd3d6069f4d5ec214af0c17860c3",
+    ("classical", 8, 4, 7): "f1d8bb03734fe3d74ac77559010761f7633074fb059ec75fb1895bf10a79e857",
+    ("classical", 8, 4, 40): "0653a315ff9308f3808350b88d3d6b454eed2598ab4353da244576506b0e8884",
+    ("variant", 8, 4, 1): "5acd90e214b91528b91e4c72f2dd624d1b577efb5375c1b11905080d306bac2d",
+    ("variant", 8, 4, 7): "3bbf8ce5ef2404b2ba826e4a99bc62598bd1031dcbbc109a6a5e963500c339d3",
+    ("variant", 8, 4, 40): "e041777931224d7d42c5d094902dc498bd2ef8c62597d4b3288c73ba7dcce6d9",
+    ("independent", 6, 3, 1): "b4f5e90c3f64ab7974d93a89d16250b0548ed5c316863855fe002957fd17f52e",
+    ("independent", 6, 3, 7): "d8e431f274ab12a209e17ec2a475d8685b5aab6ee506255e60a97961b47d1668",
+    ("independent", 6, 3, 40): "1d8c5da686cad99a261402cfdd3117b4f886996123911ad2cd834198d1ba18fa",
+    ("paired", 6, 3, 1): "d335113da8c82e85e039bc9689e45794128faa57a836bc1fe61c295eb5927596",
+    ("paired", 6, 3, 7): "dd896bcd0efa325cb80d371343e8b97c4a764c7e5aa42cbeea71e363d051b842",
+    ("paired", 6, 3, 40): "014f12e7571be2b4b3cc540f873971875597e57677d7d4fc923383387a36bd72",
+}
+
+
+@pytest.mark.parametrize("family, n, r, k", sorted(FLOAT_LAW_DIGESTS))
+def test_float_laws_keep_their_bytes(family, n, r, k):
+    probs = evolve(ModelSpec(Family(family), n, r), k).probs
+    assert hashlib.sha256(probs.tobytes()).hexdigest() == FLOAT_LAW_DIGESTS[family, n, r, k]
 
 
 # -- sizes that only the table makes cheap --------------------------------------

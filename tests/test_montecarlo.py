@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from urnmix import exact, montecarlo
 from urnmix.chains import _nth_bit, initial_state, step
-from urnmix.models import MAX_THREADS, Family, ModelSpec, thread_count
+from urnmix.models import MAX_THREADS, Family, ModelSpec, SpaceCapError, thread_count
 from urnmix.montecarlo import (
     STREAM_MAGIC,
     SimConfig,
@@ -222,6 +223,31 @@ def test_failure_in_a_helper_thread_reaches_the_caller(monkeypatch):
     cfg = SimConfig(ModelSpec(Family.VARIANT, 8, 4), 2, 2 * montecarlo.MIN_PIECE, 1)
     with pytest.raises(MemoryError, match="helper share"):
         run(cfg, threads=2)
+
+
+def test_run_caps_the_mask_words_of_a_block(monkeypatch):
+    """The cap counts ceil(n/64) words per walker of the largest block, before any word is made."""
+    def no_words(mask, width):
+        raise AssertionError("mask words made before the cap check")
+
+    monkeypatch.setattr(montecarlo, "BLOCK_WORD_CAP", 6)
+    monkeypatch.setattr(montecarlo, "_words", no_words)
+    # three words a walker: 2 walkers fit, 3 do not, nor 2 blocks of 3 and 2
+    for walkers, block_size in ((3, 1 << 16), (5, 4)):
+        with pytest.raises(SpaceCapError) as info:
+            run(SimConfig(ModelSpec(Family.VARIANT, 130, 61), 1, walkers, 0), block_size=block_size)
+        assert (info.value.required, info.value.cap) == (9, 6)
+    monkeypatch.undo()
+    monkeypatch.setattr(montecarlo, "BLOCK_WORD_CAP", 6)
+    run(SimConfig(ModelSpec(Family.VARIANT, 130, 61), 1, 4, 0), block_size=2)
+
+
+def test_run_refuses_huge_n_at_once():
+    t0 = time.perf_counter()
+    for n, r, walkers in ((4 * 10**9, 2 * 10**9, 1), (10**8, 2, 1000)):
+        with pytest.raises(SpaceCapError):
+            run(SimConfig(ModelSpec(Family.PAIRED_FLIPS, n, r), 1, walkers, 0))
+    assert time.perf_counter() - t0 < 0.5
 
 
 @pytest.mark.parametrize("block_size", [0, -1])
