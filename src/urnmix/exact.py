@@ -2,17 +2,17 @@
 
 States are indexed by colexicographic subset rank; signed states add the
 charge word as the high part, index = signs * C(n,r) + subset_rank.  Every
-exact path reads one integer kernel table, built with numpy: per source
-index, the distinct targets in merged order and their integer weights in
-units of 1/step_units(model).  Float and rational evolution share one
-stepping loop over it.  A float law is a float64 array, scattered with
-bincount, and is deterministic for a fixed model (no parallel reductions):
-bincount adds each target's contributions in source-row order, so the order
-of the targets inside a row changes no bit.  A rational law
-is an object array of Python-int numerators over the common denominator
-step_units(model)^k, scattered with np.add.at, so results are exact and
-bitwise reproducible; a Fraction is built once per answer, never per
-state.  The dense kernel behind spectrum and the trace check is filled
+exact path reads one integer kernel table, built with numpy: a fixed set of
+move columns, with each source index's target in every column and one
+integer weight per column in units of 1/step_units(model).  Float and
+rational evolution share one stepping loop over it.  A float law is a
+float64 array, scattered with bincount, and is deterministic for a fixed
+model (no parallel reductions): bincount adds each target's contributions
+in source-row order, so the order of the columns changes no bit.  A
+rational law is an object array of Python-int numerators over the common
+denominator step_units(model)^k, scattered with np.add.at, so results are
+exact and bitwise reproducible; a Fraction is built once per answer, never
+per state.  The dense kernel behind spectrum and the trace check is filled
 from the table in one assignment.
 """
 
@@ -68,9 +68,6 @@ FLOAT_STEP_CAP = 10**5
 RATIONAL_STATE_CAP = 10**4
 RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
-
-# kernel entries per block when the float weights are made
-_CONVERT_BLOCK = 1 << 14
 
 
 def state_index(model: ModelSpec, state) -> int:
@@ -156,96 +153,73 @@ def _subsets(bits: np.ndarray, r: int):
 
 
 def _kernel_table(model: ModelSpec):
-    """The aggregated kernel in CSR form: (counts, targets, units).
+    """The aggregated kernel as fixed move columns: (targets, units).
 
-    Row s (source index s) holds counts[s] distinct targets, in merged order
-    (move order unsigned, see _signed_table for the signed rows), with
-    integer weights units in 1/step_units(model); targets are intp, which
-    bincount takes without a cast.  Target subsets are ranked among the
-    sorted rack masks by searchsorted, so no state object or Fraction is
-    built per entry.  chains.kernel_row, the sampler counted over all its
-    draws, is the oracle this table equals row for row, as sets of (target,
-    units) pairs.
+    Every step falls into a move class that reaches one distinct state and
+    has the same number of draw outcomes from every source, so every row
+    has the same columns.  targets[s, c] is where column c leads from source
+    index s, an intp array of shape (states, columns) that bincount takes
+    without a cast; units[c] is the column's int64 weight in units of
+    1/step_units(model).  A column names balls by their place on their rack.
+    With r(n-r) cross pairs (a rack-1 ball and a rack-2 ball) and S =
+    C(r,2) + C(n-r,2) same-rack pairs, the columns and their units are:
+
+    - classical: each cross swap, 1;
+    - variant: the hold, n^2 - 2r(n-r); each cross swap, 2;
+    - independent: the hold, 2n + 2S; the flip of one rack-1 ball, 2r, and
+      of one rack-2 ball, 2(n-r); each same-rack pair flip, 2; each cross
+      swap with no flip, the rack-1 ball's, the rack-2 ball's or both
+      flipped, 2;
+    - paired: the hold, n + 2S; each single flip, 1; each same-rack pair
+      flip, 2; each cross swap with no flip or both flipped, 2.
+
+    Swapped subsets are ranked among the sorted rack masks by searchsorted,
+    so no state object or Fraction is built per entry.  Signed targets are
+    formed at charge word 0, flip * C(n,r) + subset rank; the kernel
+    commutes with flipping charges, so one broadcast XOR of each charge word
+    into those flips lays out the rows of all 2^n words.  chains.kernel_row,
+    the sampler counted over all its draws, is the oracle this table equals
+    row for row, as sets of (target, units) pairs.
     """
-    bits = _ball_bits(model.n)
-    masks, inside = _subsets(bits, model.r)
-    if model.family.signed:
-        counts, targets, units = _signed_table(model, bits, masks, inside)
-    else:
-        counts, targets, units = _unsigned_table(model, bits, masks, inside)
-    starts = np.cumsum(counts) - counts
-    if np.any(np.add.reduceat(units, starts) != step_units(model)):
-        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
-    return counts, targets, units
-
-
-def _unsigned_table(model: ModelSpec, bits, masks, inside):
-    """Unsigned rows in move order: the r(n-r) swaps, then the variant chain's hold.
-
-    Every swap of a rack-1 ball with a rack-2 ball reaches a distinct
-    subset, so no two entries of a row share a target.
-    """
-    n, r = model.n, model.r
+    n, r, family = model.n, model.r, model.family
+    bits = _ball_bits(n)
+    masks, inside = _subsets(bits, r)
     base = len(masks)
-    members = np.nonzero(inside)[1].reshape(base, r)
-    others = np.nonzero(~inside)[1].reshape(base, n - r)
-    swapped = masks[:, None, None] ^ bits[members][:, :, None] ^ bits[others][:, None, :]
-    targets = np.searchsorted(masks, swapped.reshape(base, -1))
+    rack1 = bits[np.nonzero(inside)[1].reshape(base, r)]
+    rack2 = bits[np.nonzero(~inside)[1].reshape(base, n - r)]
+    swapped = masks[:, None, None] ^ rack1[:, :, None] ^ rack2[:, None, :]
+    cross = np.searchsorted(masks, swapped.reshape(base, -1))
     del swapped
-    if model.family is Family.VARIANT:
-        targets = np.concatenate([targets, np.arange(base)[:, None]], axis=1)
-        units = np.full(targets.shape, 2, dtype=np.int64)
-        units[:, -1] = n * n - 2 * r * (n - r)
+    swaps = r * (n - r)
+    own = np.arange(base)[:, None]
+    if family is Family.CLASSICAL:
+        targets, units = cross, [1] * swaps
+    elif family is Family.VARIANT:
+        targets, units = np.concatenate([own, cross], axis=1), [n * n - 2 * swaps] + [2] * swaps
     else:
-        units = np.ones(targets.shape, dtype=np.int64)
-    counts = np.full(base, targets.shape[1], dtype=np.intp)
-    return counts, targets.ravel(), units.ravel()
-
-
-def _signed_table(model: ModelSpec, bits, masks, inside):
-    """Signed rows: merged once at charge word 0, then laid out for all 2^n.
-
-    A move is a rack change (none, or the swap of an unordered ball pair)
-    with a charge flip word and its units.  A row's moves are merged by
-    sorting their targets from charge word 0, flip * C(n,r) + subset rank.
-    The kernel commutes with flipping charges, so one broadcast XOR of each
-    charge word into those flips lays out every row; counts and units repeat.
-    """
-    n = model.n
-    base = len(masks)
-    b1, b2 = np.triu_indices(n, 1)
-    both = bits[b1] | bits[b2]
-    swap = np.where(inside[:, b1] != inside[:, b2], both, 0)
-    pair_rank = np.searchsorted(masks, masks[:, None] ^ swap)
-    del swap
-    if model.family is Family.INDEPENDENT_FLIPS:
-        hold, single, pair_flips = 2 * n, 2, (np.zeros_like(both), bits[b1], bits[b2], both)
-    else:
-        hold, single, pair_flips = n, 1, (np.zeros_like(both), both)
-    pair_flips = np.stack(pair_flips, axis=1)
-    flips = np.concatenate([[0], bits, pair_flips.ravel()])
-    move_units = np.concatenate([[hold], np.full(n, single), np.full(pair_flips.size, 2)])
-    rank = np.concatenate(
-        [
-            np.broadcast_to(np.arange(base)[:, None], (base, n + 1)),
-            np.repeat(pair_rank, pair_flips.shape[1], axis=1),
-        ],
-        axis=1,
-    )
-    del pair_rank
-    keys = flips * base + rank
-    order = np.argsort(keys, axis=1)
-    keys = np.take_along_axis(keys, order, axis=1)
-    fresh = np.ones(keys.shape, dtype=bool)
-    fresh[:, 1:] = keys[:, 1:] != keys[:, :-1]
-    starts = np.flatnonzero(fresh)
-    flip, rank = np.divmod(keys.ravel()[starts], base)
-    targets = np.bitwise_xor(np.arange(1 << n)[:, None], flip, dtype=np.intp)
-    targets *= base
-    targets += rank
-    units = np.tile(np.add.reduceat(move_units[order].ravel(), starts), 1 << n)
-    counts = np.tile(fresh.sum(axis=1), 1 << n)
-    return counts, targets.ravel(), units
+        (i1, j1), (i2, j2) = np.triu_indices(r, 1), np.triu_indices(n - r, 1)
+        pairs = np.concatenate([rack1[:, i1] | rack1[:, j1], rack2[:, i2] | rack2[:, j2]], axis=1)
+        # cross pair a * (n - r) + b is rack-1 ball a and rack-2 ball b
+        first, second = np.repeat(rack1, n - r, axis=1), np.tile(rack2, r)
+        same = pairs.shape[1]
+        if family is Family.INDEPENDENT_FLIPS:
+            cross_flips = (np.zeros_like(first), first, second, first | second)
+            units = [2 * n + 2 * same] + [2 * r] * r + [2 * (n - r)] * (n - r)
+        else:
+            cross_flips = (np.zeros_like(first), first | second)
+            units = [n + 2 * same] + [1] * n
+        units += [2] * (same + len(cross_flips) * swaps)
+        flips = np.concatenate([np.zeros_like(own), rack1, rack2, pairs, *cross_flips], axis=1)
+        ranks = np.concatenate(
+            [np.broadcast_to(own, (base, 1 + n + same)), np.tile(cross, len(cross_flips))], axis=1
+        )
+        targets = np.bitwise_xor(np.arange(1 << n)[:, None, None], flips, dtype=np.intp)
+        targets *= base
+        targets += ranks
+        targets = targets.reshape(-1, len(units))
+    if sum(units) != step_units(model):
+        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
+    return targets, np.array(units, dtype=np.int64)
 
 
 def evolve(model: ModelSpec, k: int, exact: bool = False) -> Distribution:
@@ -271,34 +245,29 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
     if ks[-1] > step_cap:
         raise SpaceCapError(ks[-1], step_cap, f"{kind} step count")
 
-    counts, targets, units = _kernel_table(model)
+    targets, units = _kernel_table(model)
+    width = len(units)
+    targets = targets.ravel()
     step = step_units(model)
     start = state_index(model, initial_state(model))
 
     if exact:
         # Python-int weights in units of 1/step: each step multiplies the
         # common denominator by step and the numerators stay integers.
-        weights = units.astype(object)
+        weights = np.tile(units.astype(object), n_states)
         probs = np.zeros(n_states, dtype=object)
         probs[start] = 1
         den = 1
     else:
-        # The float weights overwrite the int64 units in place, a block at a
-        # time, so targets, units and a separate weights array are never
-        # alive together; each block's cast copy is the only temporary.
-        weights = units.view(np.float64)
-        for lo in range(0, len(units), _CONVERT_BLOCK):
-            block = slice(lo, lo + _CONVERT_BLOCK)
-            np.divide(units[block], step, out=weights[block])
+        weights = np.tile(units / step, n_states)
         probs = np.zeros(n_states)
         probs[start] = 1.0
         den = None
-    del units
     step_no = 0
     for k in ks:
         while step_no < k:
             # one table-length temporary, freed before the next step makes its own
-            contrib = np.repeat(probs, counts)
+            contrib = np.repeat(probs, width)
             contrib *= weights
             if exact:
                 probs = np.zeros(n_states, dtype=object)
@@ -371,9 +340,9 @@ def subset_marginal(dist: Distribution) -> Distribution:
 
 def _dense_kernel(model: ModelSpec) -> np.ndarray:
     n_states = checked_space_size(model, DENSE_CAP, "dense kernel state count")
-    counts, targets, units = _kernel_table(model)
+    targets, units = _kernel_table(model)
     mat = np.zeros((n_states, n_states))
-    mat[np.repeat(np.arange(n_states), counts), targets] = units / step_units(model)
+    mat[np.arange(n_states)[:, None], targets] = units / step_units(model)
     return mat
 
 

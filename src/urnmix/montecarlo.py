@@ -46,6 +46,8 @@ __all__ = [
     "TV_SPACE_CAP",
     "TV_WALKER_FACTOR",
     "BLOCK_WORD_CAP",
+    "WALKER_CAP",
+    "STEP_CAP",
 ]
 
 STREAM_MAGIC = b"URNMC01\x00"
@@ -61,6 +63,12 @@ MAX_PIECE = 1 << 15
 # step of paired(4096, 2048), 65,536 walkers on 2 vCPUs, peaked at 192 MB RSS
 # in 0.14 s.  The largest block in use (in the tests) holds 131,075 words.
 BLOCK_WORD_CAP = 1 << 22
+# Walkers one run may have: the run keeps 8 bytes of s1 per walker, 512 MB
+# at the cap.
+WALKER_CAP = 1 << 26
+# Steps one run may take, the float evolution's exact.FLOAT_STEP_CAP.  At the
+# cap one n = 8 walker took 2.2-2.6 s (variant, signed) and 16 s (classical).
+STEP_CAP = 10**5
 
 _M64 = (1 << 64) - 1
 _C0 = 0x9E3779B97F4A7C15
@@ -381,10 +389,16 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16, threads=
     (see _walk_block); threads None means the CPUs this process may use.
     No more than one block is in flight, whatever the thread count.  The
     summary and the states file depend on neither block_size nor threads.
+    More than WALKER_CAP walkers or STEP_CAP steps raise SpaceCapError
+    before anything is allocated or written.
     """
     t0 = time.perf_counter()
     threads = thread_count(threads)
     model, k, total, seed = config.model, config.k, config.walkers, config.seed
+    if total > WALKER_CAP:
+        raise SpaceCapError(total, WALKER_CAP, "walker count")
+    if k > STEP_CAP:
+        raise SpaceCapError(k, STEP_CAP, "Monte Carlo step count")
     n, r = model.n, model.r
     signed = model.family.signed
     if states_path is not None and n > 64:

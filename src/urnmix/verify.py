@@ -86,9 +86,12 @@ SMALL_GRID = [
     ModelSpec(Family.PAIRED_FLIPS, 2, 1),
 ]
 
+# signed n = 5, r = 2: same-rack blocks of unequal size, C(2,2) = 1 and C(3,2) = 3
 KERNEL_ROW_GRID = SMALL_GRID[:2] + [
     ModelSpec(Family.INDEPENDENT_FLIPS, 3, 1),
     ModelSpec(Family.PAIRED_FLIPS, 3, 1),
+    ModelSpec(Family.INDEPENDENT_FLIPS, 5, 2),
+    ModelSpec(Family.PAIRED_FLIPS, 5, 2),
 ]
 
 SPECTRAL_MEASURE_GRID = [
@@ -159,31 +162,34 @@ def eigenvalue_sanity() -> str:
 
 
 def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
-    """Compare an integer kernel table (counts, targets, units) with kernel_row.
+    """Compare an integer kernel table (targets, units) with kernel_row.
 
     kernel_row counts chains.step over all its draws, so this compares the
-    sampler itself with the table.  Targets must be intp; each row must hold
-    kernel_row's (target, weight) pairs, in any order, with each weight
-    scaled to integer units of 1/step_units; and the table must be symmetric
-    with every row summing to step_units, so kernel_row's rows sum to 1
-    exactly.
+    sampler itself with the table.  Targets must be intp, one row per state
+    and one column per unit; each row must hold kernel_row's (target,
+    weight) pairs, in any order, with each weight scaled to integer units
+    of 1/step_units; and the table must be symmetric with every row summing
+    to step_units, so kernel_row's rows sum to 1 exactly.
     """
     label = _label(model)
-    counts, targets, units = table
+    targets, units = table
     if targets.dtype != np.intp:
         return f"{label}: kernel table targets are {targets.dtype}, not intp"
     step = chains.step_units(model)
-    rows = [chains.kernel_row(model, s).entries for s in exact.enumerate_states(model)]
-    if counts.tolist() != [len(row) for row in rows] or not len(targets) == len(units) == counts.sum():
-        return f"{label}: kernel table row lengths differ from kernel_row"
-    pairs = list(zip(targets.tolist(), units.tolist()))
-    # kernel_row's targets are distinct, so equal sets of equal length are equal rows
-    for source, (row, end) in enumerate(zip(rows, np.cumsum(counts).tolist())):
-        if set(pairs[end - len(row) : end]) != {(exact.state_index(model, t), w * step) for t, w in row}:
-            return f"{label}: kernel table row {source} differs from kernel_row"
     n_states = space_size(model)
+    if targets.shape != (n_states, len(units)):
+        return f"{label}: kernel table shape {targets.shape}, want {(n_states, len(units))}"
+    columns = units.tolist()
+    # one kernel_row at a time; its targets are distinct, so equal sets of
+    # equal length are equal rows
+    for source, (state, got) in enumerate(zip(exact.enumerate_states(model), targets)):
+        row = chains.kernel_row(model, state).entries
+        if len(row) != len(columns):
+            return f"{label}: kernel table row length {len(columns)}, kernel_row {len(row)}"
+        if set(zip(got.tolist(), columns)) != {(exact.state_index(model, t), w * step) for t, w in row}:
+            return f"{label}: kernel table row {source} differs from kernel_row"
     mat = np.zeros((n_states, n_states), dtype=np.int64)
-    mat[np.repeat(np.arange(n_states), counts), targets] = units
+    mat[np.arange(n_states)[:, None], targets] = units
     if not np.array_equal(mat, mat.T):
         return f"{label}: kernel not symmetric"
     if not np.all(mat.sum(axis=1) == step):

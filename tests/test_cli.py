@@ -375,6 +375,8 @@ EDGE_ARGVS = [
     (["exact", *HUGE, "--k", "1", "--rational"], 3),
     (["simulate", *HUGE, "--k", "1", "--walkers", "1"], 3),
     (["simulate", "--family", "variant", "--n", "100000000", "--r", "2", "--k", "1", "--walkers", "1000"], 3),
+    (["simulate", "--family", "variant", "--n", "8", "--r", "4", "--k", "1", "--walkers", "100000000000"], 3),
+    (["simulate", "--family", "variant", "--n", "8", "--r", "4", "--k", "1000000000000", "--walkers", "1"], 3),
 ]
 
 

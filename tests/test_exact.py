@@ -458,26 +458,44 @@ def test_kernel_table_equals_oracle_property(family, n, data):
 def test_kernel_table_check_catches_one_target_off_by_one():
     for family in Family:
         model = ModelSpec(family, 4, 2)
-        counts, targets, units = _kernel_table(model)
-        for pos in (0, len(targets) // 2, len(targets) - 1):
+        targets, units = _kernel_table(model)
+        for pos in (0, targets.size // 2, targets.size - 1):
             bad = targets.copy()
-            bad[pos] += 1 if bad[pos] == 0 else -1
-            assert kernel_table_mismatch(model, (counts, bad, units)) is not None
+            bad.flat[pos] += 1 if bad.flat[pos] == 0 else -1
+            assert kernel_table_mismatch(model, (bad, units)) is not None
 
 
 def _assert_rows_match_kernel_row(model, table, sources):
     """Rows at the given source indices hold kernel_row's (target, units) pairs, in any order."""
-    counts, targets, units = table
+    targets, units = table
     assert targets.dtype == np.intp
-    assert len(counts) == space_size(model)
-    ends = np.cumsum(counts)
+    assert targets.shape == (space_size(model), len(units))
     for idx in sources:
         row = kernel_row(model, state_at(model, idx))
-        got = slice(ends[idx] - counts[idx], ends[idx])
-        assert counts[idx] == len(row.entries)
-        assert set(zip(targets[got].tolist(), units[got].tolist())) == {
+        assert len(units) == len(row.entries)
+        assert set(zip(targets[idx].tolist(), units.tolist())) == {
             (state_index(model, t), int(w * step_units(model))) for t, w in row.entries
         }
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (5, 2), (6, 3), (7, 2)])
+def test_kernel_table_columns_follow_the_move_classes(family, n, r):
+    """One column per move class, with the units of the _kernel_table docstring."""
+    model = ModelSpec(family, n, r)
+    swaps, same = r * (n - r), math.comb(r, 2) + math.comb(n - r, 2)
+    if family is Family.CLASSICAL:
+        want = [1] * swaps
+    elif family is Family.VARIANT:
+        want = [n * n - 2 * swaps] + [2] * swaps
+    elif family is Family.INDEPENDENT_FLIPS:
+        want = [2 * n + 2 * same] + [2 * r] * r + [2 * (n - r)] * (n - r) + [2] * (same + 4 * swaps)
+    else:
+        want = [n + 2 * same] + [1] * n + [2] * (same + 2 * swaps)
+    targets, units = _kernel_table(model)
+    assert targets.shape == (space_size(model), len(want))
+    assert sorted(units.tolist()) == sorted(want)
+    assert sum(want) == step_units(model)
 
 
 def test_kernel_table_rows_above_62_balls():
@@ -500,8 +518,10 @@ def test_signed_rows_at_far_charge_words(family):
     _assert_rows_match_kernel_row(model, _kernel_table(model), sources)
 
 
-# sha256 of evolve(model, k).probs.tobytes(), recorded before the kernel
-# table stopped sorting its rows: the order inside a row changes no float bit
+# sha256 of evolve(model, k).probs.tobytes(), recorded while the kernel table
+# still sorted its rows.  bincount adds each target's contributions in
+# source-row order, and a row reaches each target once, so no layout of the
+# columns inside a row changes a float bit.
 FLOAT_LAW_DIGESTS = {
     ("classical", 8, 4, 1): "70b762e46a3b99a625ba576ce3175d2db498cd3d6069f4d5ec214af0c17860c3",
     ("classical", 8, 4, 7): "f1d8bb03734fe3d74ac77559010761f7633074fb059ec75fb1895bf10a79e857",
@@ -546,31 +566,23 @@ def test_subset_marginal_paired_7_3():
         assert np.abs(marg.probs - d_plain.probs).max() <= 1e-12
 
 
-def test_float_weights_reuse_the_units_buffer():
+def test_float_evolution_holds_16_bytes_per_entry():
     """The first next() holds no third table-length array.
 
     At k = 0 it builds the table and the float weights and yields the point
-    mass.  A separate weights array next to targets and units would hold
-    24 bytes per kernel entry; filling the weights into the units buffer
-    keeps 16, plus state-length arrays and one conversion block.
+    mass: targets and weights take 16 bytes per kernel entry, plus
+    state-length arrays.
     """
     model = ModelSpec(Family.PAIRED_FLIPS, 8, 4)
     gc.collect()
     tracemalloc.start()
     try:
-        counts, targets, units = _kernel_table(model)
-        weights = units / step_units(model)
-        separate_peak = tracemalloc.get_traced_memory()[1]
-        del counts, targets, units, weights
-        tracemalloc.reset_peak()
         next(evolve_sequence(model, [0, 1]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    entries, states = len(_kernel_table(model)[1]), space_size(model)
-    assert separate_peak >= 24 * entries
-    assert peak <= 16 * entries + 4 * 8 * states + 2 * 8 * exact._CONVERT_BLOCK
-    assert separate_peak - peak >= 7 * entries
+    entries, states = _kernel_table(model)[0].size, space_size(model)
+    assert peak <= 16 * entries + 4 * 8 * states
 
 
 def test_kernel_table_row_sum_check_raises(monkeypatch):
@@ -582,10 +594,9 @@ def test_kernel_table_row_sum_check_raises(monkeypatch):
 
 def test_spectrum_rejects_asymmetric_kernel(monkeypatch):
     model = ModelSpec(Family.CLASSICAL, 4, 2)
-    counts, targets, units = _kernel_table(model)
-    units = units.copy()
-    units[0] += 1  # row 0 keeps its sum but no longer mirrors its column
-    units[1] -= 1
-    monkeypatch.setattr(exact, "_kernel_table", lambda m: (counts, targets, units))
+    targets, units = _kernel_table(model)
+    targets = targets.copy()
+    targets[0, 0] = 0  # row 0 keeps its sum but no longer mirrors its column
+    monkeypatch.setattr(exact, "_kernel_table", lambda m: (targets, units))
     with pytest.raises(RuntimeError, match="asymmetry"):
         spectrum(model)

@@ -250,6 +250,27 @@ def test_run_refuses_huge_n_at_once():
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_run_caps_walkers_and_steps_before_it_allocates(monkeypatch, tmp_path):
+    """Past WALKER_CAP walkers or STEP_CAP steps nothing is allocated, walked or written."""
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the cap check")
+
+    model = ModelSpec(Family.VARIANT, 8, 4)
+    states = tmp_path / "states.bin"
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo.np, "empty", no_alloc)
+        patch.setattr(montecarlo, "_words", no_alloc)
+        for k, walkers, cap in ((1, 10**11, montecarlo.WALKER_CAP), (10**12, 1, montecarlo.STEP_CAP)):
+            with pytest.raises(SpaceCapError) as info:
+                run(SimConfig(model, k, walkers, 0), states_path=states)
+            assert (info.value.required, info.value.cap) == (max(k, walkers), cap)
+    assert not states.exists()
+    # a run at both caps goes ahead
+    monkeypatch.setattr(montecarlo, "WALKER_CAP", 3)
+    monkeypatch.setattr(montecarlo, "STEP_CAP", 5)
+    run(SimConfig(model, 5, 3, 0))
+
+
 @pytest.mark.parametrize("block_size", [0, -1])
 def test_run_rejects_empty_blocks(block_size):
     cfg = SimConfig(ModelSpec(Family.VARIANT, 10, 5), 3, 1000, 1)
