@@ -15,11 +15,14 @@ the stream:
     independent  (n, n, 2, 2)  ball, ball, coin, coin  (coins always consumed)
     paired       (n, n, 2)     ball, ball, coin
 
-Both signed families take one stepper, which tosses the second coin for
-independent flips only; with equal ball draws that coin is consumed and
-discarded, keeping the stride constant.  A step has step_units(model),
-the product of its draw bounds, equally likely outcomes; kernel_row counts
-the stepper's targets over all of them, so the exact law is the sampler's.
+A stepper is a pure function of (model, state, draws).  Variant and both
+signed families take one swap stepper: it swaps the two drawn balls; signed
+steps then flip ball b1 by draws[2] and, if b2 is another ball, b2 by the
+last draw, c2 for independent flips and c1 again for paired ones.  With
+equal ball draws the independent c2 is drawn and unused, keeping the stride
+constant.  A step has step_units(model), the product of its draw bounds,
+equally likely outcomes; kernel_row counts the stepper's targets over all
+of them, so the exact law is the sampler's.
 """
 
 from __future__ import annotations
@@ -137,53 +140,36 @@ def _swap_subset(rack1: int, b1: int, b2: int) -> int:
     return rack1
 
 
-def _step_classical(model: ModelSpec, state: UrnState, rng) -> UrnState:
-    """Pick one ball on each rack uniformly and trade their places."""
-    _check_state(model, state)
-    n, r = model.n, model.r
-    full = (1 << n) - 1
-    i1 = int(rng.integers(r))
-    i2 = int(rng.integers(n - r))
-    a = _nth_bit(state.rack1, i1)
-    b = _nth_bit(full ^ state.rack1, i2)
-    return UrnState(state.rack1 ^ (1 << a) ^ (1 << b))
+def _step_classical(model: ModelSpec, state: UrnState, draws) -> UrnState:
+    """Trade the draws[0]-th ball on rack 1 with the draws[1]-th on rack 2."""
+    rack1 = state.rack1
+    a = _nth_bit(rack1, draws[0])
+    b = _nth_bit(((1 << model.n) - 1) ^ rack1, draws[1])
+    return UrnState(rack1 ^ (1 << a) ^ (1 << b))
 
 
-def _step_variant(model: ModelSpec, state: UrnState, rng) -> UrnState:
-    """Pick two balls uniformly with replacement; swap if on different racks."""
-    _check_state(model, state)
-    n = model.n
-    b1 = int(rng.integers(n))
-    b2 = int(rng.integers(n))
-    return UrnState(_swap_subset(state.rack1, b1, b2))
+def _step_swap(model: ModelSpec, state, draws):
+    """Swap balls draws[0] and draws[1] if on different racks, then flip charges.
 
-
-def _step_signed(model: ModelSpec, state: SignedUrnState, rng) -> SignedUrnState:
-    """Variant move on charged balls, then a fair coin per charge flip.
-
-    Independent flips toss coin c1 for the first drawn ball and c2 for the
-    second; paired flips toss c1 alone, for both.  When the two draws name
-    the same ball only c1 applies; independent flips still draw c2, so the
-    stream stride stays 4.
+    Two draws make the variant step.  Otherwise ball b1 flips by draws[2]
+    and, if b2 != b1, ball b2 by draws[-1]: coin c2 for independent flips,
+    c1 again for paired ones.
     """
-    _check_state(model, state)
-    n = model.n
-    b1 = int(rng.integers(n))
-    b2 = int(rng.integers(n))
-    c1 = int(rng.integers(2))
-    c2 = int(rng.integers(2)) if model.family is Family.INDEPENDENT_FLIPS else c1
+    b1, b2 = draws[0], draws[1]
     rack1 = _swap_subset(state.rack1, b1, b2)
-    signs = state.signs ^ (c1 << b1)
+    if len(draws) == 2:
+        return UrnState(rack1)
+    signs = state.signs ^ (draws[2] << b1)
     if b1 != b2:
-        signs ^= c2 << b2
+        signs ^= draws[-1] << b2
     return SignedUrnState(rack1, signs)
 
 
 _STEPPERS = {
     Family.CLASSICAL: _step_classical,
-    Family.VARIANT: _step_variant,
-    Family.INDEPENDENT_FLIPS: _step_signed,
-    Family.PAIRED_FLIPS: _step_signed,
+    Family.VARIANT: _step_swap,
+    Family.INDEPENDENT_FLIPS: _step_swap,
+    Family.PAIRED_FLIPS: _step_swap,
 }
 
 
@@ -200,8 +186,9 @@ def draw_bounds(model: ModelSpec) -> tuple[int, ...]:
 
 
 def step(model: ModelSpec, state, rng):
-    """One sampled step of the model's chain."""
-    return _STEPPERS[model.family](model, state, rng)
+    """One sampled step of the model's chain: each draw of draw_bounds, in order."""
+    _check_state(model, state)
+    return _STEPPERS[model.family](model, state, [int(rng.integers(b)) for b in draw_bounds(model)])
 
 
 def step_units(model: ModelSpec) -> int:
@@ -230,46 +217,20 @@ class KernelRow:
         return Fraction(0)
 
 
-class _Replay:
-    """Draw source that hands a stepper one fixed outcome of its draws."""
-
-    __slots__ = ("bounds", "outcome", "used")
-
-    def __init__(self, bounds: tuple[int, ...]):
-        self.bounds = bounds
-        self.outcome = ()
-        self.used = 0
-
-    def integers(self, bound: int) -> int:
-        at = self.used
-        if at == len(self.bounds) or bound != self.bounds[at]:
-            raise RuntimeError(
-                f"step took draw {at} from bound {bound}, draw_bounds lists {self.bounds}"
-            )
-        self.used = at + 1
-        return self.outcome[at]
-
-
 def kernel_row(model: ModelSpec, state) -> KernelRow:
     """The exact law of one step out of a state.
 
-    step runs on each of the step_units(model) equally likely outcomes of
-    its draws; a target weighs the count of outcomes reaching it over
-    step_units, so the weights sum to exactly 1.  A stepper whose draws
-    differ from draw_bounds raises RuntimeError.  The kernel is symmetric
-    (every atomic move is an involution with the same selection probability
-    both ways), hence doubly stochastic with uniform stationary law.
+    The stepper runs on each of the step_units(model) equally likely
+    outcomes of draw_bounds; a target weighs the count of outcomes reaching
+    it over step_units, so the weights sum to exactly 1.  The kernel is
+    symmetric (every atomic move is an involution with the same selection
+    probability both ways), hence doubly stochastic with uniform stationary
+    law.
     """
     _check_state(model, state)
     stepper = _STEPPERS[model.family]
     bounds = draw_bounds(model)
-    src = _Replay(bounds)
-    hits = Counter()
-    for outcome in product(*map(range, bounds)):
-        src.outcome, src.used = outcome, 0
-        hits[stepper(model, state, src)] += 1
-        if src.used != len(bounds):
-            raise RuntimeError(f"step took {src.used} draws, draw_bounds lists {bounds}")
+    hits = Counter(stepper(model, state, outcome) for outcome in product(*map(range, bounds)))
     units = prod(bounds)
     by_index = lambda tw: (getattr(tw[0], "signs", 0), tw[0].rack1)
     entries = tuple(sorted(((t, Fraction(c, units)) for t, c in hits.items()), key=by_index))

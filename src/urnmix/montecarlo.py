@@ -284,10 +284,10 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
         c1 = draw[2]
         np.left_shift(c1, sh1, out=spare)
         signs ^= spare
-        c2 = draw[3] if family is Family.INDEPENDENT_FLIPS else c1
-        # a ball drawn twice is flipped by the first coin alone
+        # the second ball's coin is the last draw (c1 again for paired
+        # flips); a ball drawn twice is flipped by the first coin alone
         np.not_equal(b1, b2, out=tmp)
-        tmp &= c2
+        tmp &= draw[-1]
         np.left_shift(tmp, sh2, out=spare)
         signs ^= spare
     return rack, signs

@@ -164,12 +164,13 @@ def eigenvalue_sanity() -> str:
 def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
     """Compare an integer kernel table (targets, units) with kernel_row.
 
-    kernel_row counts chains.step over all its draws, so this compares the
-    sampler itself with the table.  Targets must be intp, one row per state
-    and one column per unit; each row must hold kernel_row's (target,
-    weight) pairs, in any order, with each weight scaled to integer units
-    of 1/step_units; and the table must be symmetric with every row summing
-    to step_units, so kernel_row's rows sum to 1 exactly.
+    kernel_row counts the stepper behind chains.step over all its draws, so
+    this compares the sampler itself with the table.  Targets must be intp,
+    one row per state and one column per unit; each row must hold
+    kernel_row's (target, weight) pairs, in any order, with each weight
+    scaled to integer units of 1/step_units; and the table must be symmetric
+    with every row summing to step_units, so kernel_row's rows sum to 1
+    exactly.
     """
     label = _label(model)
     targets, units = table

@@ -2,6 +2,7 @@
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -60,12 +61,29 @@ def test_subset_rank_unrank_roundtrip(n, data):
         assert subset_unrank(n, r, rank) == mask
 
 
-def test_step_rejects_wrong_state_shape():
-    rng = WalkerStream(0, 0)
-    with pytest.raises(ValueError):
-        step(ModelSpec(Family.VARIANT, 4, 2), SignedUrnState(0b11, 0), rng)
-    with pytest.raises(ValueError):
-        step(ModelSpec(Family.VARIANT, 4, 2), UrnState(0b111), rng)
+class _NoDraws:
+    """A draw source that fails the test if anything draws from it."""
+
+    def integers(self, bound):
+        raise AssertionError(f"drew from bound {bound} after a rejected state")
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_step_rejects_wrong_state_shape(family):
+    model = ModelSpec(family, 4, 2)
+    start = initial_state(model)
+    bad = [
+        UrnState(0b11) if family.signed else SignedUrnState(0b11, 0),  # the other state type
+        replace(start, rack1=0b111),  # three balls on rack 1
+        replace(start, rack1=0b10001),  # a bit beyond ball n
+    ]
+    if family.signed:
+        bad.append(SignedUrnState(0b11, 0b10000))  # a charge beyond ball n
+    for state in bad:
+        with pytest.raises(ValueError):
+            step(model, state, _NoDraws())
+        with pytest.raises(ValueError):
+            kernel_row(model, state)
 
 
 def test_classical_always_swaps():
@@ -202,30 +220,27 @@ def test_paired_flip_parity():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(SMALL_MODELS))
 def test_stream_consumption_is_fixed_per_step(seed, model):
-    """Each step consumes exactly its advertised number of draws."""
+    """Each step draws from exactly the bounds of draw_bounds, in order."""
 
     class CountingStream:
         def __init__(self, inner):
             self.inner = inner
-            self.draws = 0
+            self.bounds = []
 
         def integers(self, n):
-            self.draws += 1
+            self.bounds.append(n)
             return self.inner.integers(n)
 
     rng = CountingStream(WalkerStream(seed, 0))
     state = initial_state(model)
     for t in range(1, 6):
         state = step(model, state, rng)
-        assert rng.draws == t * len(draw_bounds(model))
+        assert rng.bounds == list(draw_bounds(model)) * t
 
 
-def _one_charge_paired(model, state, rng):
+def _one_charge_paired(model, state, draws):
     """A faulty paired step: the coin flips only the first drawn ball."""
-    n = model.n
-    b1 = int(rng.integers(n))
-    b2 = int(rng.integers(n))
-    c = int(rng.integers(2))
+    b1, b2, c = draws
     return SignedUrnState(chains._swap_subset(state.rack1, b1, b2), state.signs ^ (c << b1))
 
 
@@ -239,27 +254,3 @@ def test_kernel_rows_check_catches_a_faulty_sampler(monkeypatch):
     result = verify.kernel_rows()
     assert not result.ok
     assert "paired" in result.detail
-
-
-def _extra_draw(model, state, rng):
-    rng.integers(2)
-    return chains._step_variant(model, state, rng)
-
-
-def _wrong_bound(model, state, rng):
-    rng.integers(model.n + 1)
-    rng.integers(model.n)
-    return state
-
-
-def _short_step(model, state, rng):
-    rng.integers(model.n)
-    return state
-
-
-@pytest.mark.parametrize("stepper", [_extra_draw, _wrong_bound, _short_step])
-def test_kernel_row_rejects_draws_outside_draw_bounds(monkeypatch, stepper):
-    model = ModelSpec(Family.VARIANT, 4, 2)
-    monkeypatch.setitem(chains._STEPPERS, Family.VARIANT, stepper)
-    with pytest.raises(RuntimeError, match="draw_bounds"):
-        kernel_row(model, initial_state(model))
