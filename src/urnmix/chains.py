@@ -1,9 +1,11 @@
 """States, stepping rules, and the exact law of one step.
 
-A state stores the set of ball labels on rack 1 as an n-bit mask (bit b is
-ball b+1).  Signed states also carry an n-bit charge mask, indexed by ball
-label, so swapping two balls never touches the charge word; only explicit
-flips do.
+Every family has one state record, UrnState(rack1, signs=0): the set of
+ball labels on rack 1 as an n-bit mask (bit b is ball b+1) and a charge
+mask indexed by ball label, so swapping two balls never touches the charge
+word; only explicit flips do.  The charge mask has model.charge_bits bits:
+n for the signed families, none for the unsigned ones, whose states keep
+signs = 0.
 
 step, the one sampler, draws from any source with an ``integers(n)`` method
 returning a uniform value in [0, n).  draw_bounds gives the bound of each
@@ -32,12 +34,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from typing import NamedTuple
 
 from .models import Family, ModelSpec
 
 __all__ = [
     "UrnState",
-    "SignedUrnState",
     "KernelRow",
     "initial_state",
     "step",
@@ -50,19 +52,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UrnState:
-    """Unsigned state: the rack-1 subset as an n-bit mask."""
+class UrnState(NamedTuple):
+    """The rack-1 subset mask and the per-ball charge mask (0 when unsigned)."""
 
     rack1: int
-
-
-@dataclass(frozen=True)
-class SignedUrnState:
-    """Signed state: rack-1 subset mask plus per-ball charge mask."""
-
-    rack1: int
-    signs: int
+    signs: int = 0
 
 
 def bits_of(mask: int):
@@ -101,28 +95,22 @@ def subset_unrank(n: int, r: int, rank: int) -> int:
     return mask
 
 
-def initial_state(model: ModelSpec):
+def initial_state(model: ModelSpec) -> UrnState:
     """Deterministic start: balls 1..r on rack 1, all charges positive."""
-    rack1 = (1 << model.r) - 1
-    if model.family.signed:
-        return SignedUrnState(rack1=rack1, signs=0)
-    return UrnState(rack1=rack1)
+    return UrnState((1 << model.r) - 1)
 
 
 def _check_state(model: ModelSpec, state) -> None:
-    signed = model.family.signed
-    if signed and not isinstance(state, SignedUrnState):
-        raise ValueError(f"{model.family.value} needs a SignedUrnState")
-    if not signed and not isinstance(state, UrnState):
-        raise ValueError(f"{model.family.value} needs an UrnState")
+    if not isinstance(state, UrnState):
+        raise ValueError(f"{model.family.value} needs an UrnState, got {type(state).__name__}")
     if state.rack1 >> model.n:
         raise ValueError("state mask has bits beyond ball n")
     if state.rack1.bit_count() != model.r:
         raise ValueError(
             f"rack-1 mask has {state.rack1.bit_count()} balls, expected {model.r}"
         )
-    if signed and state.signs >> model.n:
-        raise ValueError("charge mask has bits beyond ball n")
+    if state.signs >> model.charge_bits:
+        raise ValueError(f"charge mask has bits beyond the model's {model.charge_bits} charges")
 
 
 def _nth_bit(mask: int, idx: int) -> int:
@@ -148,7 +136,7 @@ def _step_classical(model: ModelSpec, state: UrnState, draws) -> UrnState:
     return UrnState(rack1 ^ (1 << a) ^ (1 << b))
 
 
-def _step_swap(model: ModelSpec, state, draws):
+def _step_swap(model: ModelSpec, state: UrnState, draws) -> UrnState:
     """Swap balls draws[0] and draws[1] if on different racks, then flip charges.
 
     Two draws make the variant step.  Otherwise ball b1 flips by draws[2]
@@ -162,7 +150,7 @@ def _step_swap(model: ModelSpec, state, draws):
     signs = state.signs ^ (draws[2] << b1)
     if b1 != b2:
         signs ^= draws[-1] << b2
-    return SignedUrnState(rack1, signs)
+    return UrnState(rack1, signs)
 
 
 _STEPPERS = {
@@ -185,7 +173,7 @@ def draw_bounds(model: ModelSpec) -> tuple[int, ...]:
     return (n, n, 2)
 
 
-def step(model: ModelSpec, state, rng):
+def step(model: ModelSpec, state: UrnState, rng) -> UrnState:
     """One sampled step of the model's chain: each draw of draw_bounds, in order."""
     _check_state(model, state)
     return _STEPPERS[model.family](model, state, [int(rng.integers(b)) for b in draw_bounds(model)])
@@ -204,7 +192,7 @@ def step_units(model: ModelSpec) -> int:
 class KernelRow:
     """One row of the transition kernel: distinct targets with exact weights."""
 
-    source: UrnState | SignedUrnState
+    source: UrnState
     entries: tuple
 
     def total(self) -> Fraction:
@@ -217,7 +205,7 @@ class KernelRow:
         return Fraction(0)
 
 
-def kernel_row(model: ModelSpec, state) -> KernelRow:
+def kernel_row(model: ModelSpec, state: UrnState) -> KernelRow:
     """The exact law of one step out of a state.
 
     The stepper runs on each of the step_units(model) equally likely
@@ -232,6 +220,6 @@ def kernel_row(model: ModelSpec, state) -> KernelRow:
     bounds = draw_bounds(model)
     hits = Counter(stepper(model, state, outcome) for outcome in product(*map(range, bounds)))
     units = prod(bounds)
-    by_index = lambda tw: (getattr(tw[0], "signs", 0), tw[0].rack1)
+    by_index = lambda tw: (tw[0].signs, tw[0].rack1)
     entries = tuple(sorted(((t, Fraction(c, units)) for t, c in hits.items()), key=by_index))
     return KernelRow(source=state, entries=entries)

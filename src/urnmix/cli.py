@@ -14,7 +14,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -78,12 +77,6 @@ def _thread_count(text: str) -> int:
         return thread_count(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"need an integer from 1 to {MAX_THREADS}, got {text!r}") from None
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("URNMIX_SEED", 0))
 
 
 def _model_of(args) -> ModelSpec:
@@ -225,8 +218,7 @@ def cmd_simulate(args) -> int:
     from . import montecarlo
 
     model = _model_of(args)
-    seed = _resolve_seed(args)
-    cfg = montecarlo.SimConfig(model=model, k=args.k, walkers=args.walkers, seed=seed)
+    cfg = montecarlo.SimConfig(model=model, k=args.k, walkers=args.walkers, seed=args.seed)
     summary = montecarlo.run(cfg, states_path=args.states_out, threads=args.threads)
     doc = {
         "family": model.family.value,
@@ -234,7 +226,7 @@ def cmd_simulate(args) -> int:
         "r": model.r,
         "k": args.k,
         "walkers": args.walkers,
-        "seed": seed,
+        "seed": args.seed,
         "mean_s1": summary.mean_s1,
         "stderr_s1": summary.stderr_s1,
         "empirical_tv": summary.empirical_tv,
@@ -250,7 +242,7 @@ def cmd_simulate(args) -> int:
         stable=(json.dumps(stable) + "\n").encode(),
         model=model,
         parameters={"k": args.k, "walkers": args.walkers},
-        seed=seed,
+        seed=args.seed,
         t0=t0,
     )
     return EXIT_OK
@@ -314,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--k", type=int, required=True, help="steps per walker")
     p.add_argument("--walkers", type=int, required=True, help="number of walkers")
-    p.add_argument("--seed", type=int, help="seed (default: URNMIX_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed (default: 0)")
     p.add_argument("--states-out", help="stream terminal states to this binary file")
     p.add_argument(
         "--threads",

@@ -1,7 +1,7 @@
 """Exact finite-state analysis: evolution, distances, spectra.
 
-States are indexed by colexicographic subset rank; signed states add the
-charge word as the high part, index = signs * C(n,r) + subset_rank.  Every
+A state's index is signs * C(n,r) + subset_rank(rack1): the charge word
+above the colexicographic subset rank, signs = 0 when unsigned.  Every
 exact path reads one integer kernel table, built with numpy: a fixed set of
 move columns, with each source index's target in every column and one
 integer weight per column in units of 1/step_units(model).  Float and
@@ -27,14 +27,7 @@ from math import comb
 import numpy as np
 
 from .bounds import spectral_measure
-from .chains import (
-    SignedUrnState,
-    UrnState,
-    initial_state,
-    step_units,
-    subset_rank,
-    subset_unrank,
-)
+from .chains import UrnState, initial_state, step_units, subset_rank, subset_unrank
 from .models import Family, ModelSpec, SpaceCapError, checked_space_size, space_size, step_count
 
 __all__ = [
@@ -70,40 +63,27 @@ RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
 
 
-def state_index(model: ModelSpec, state) -> int:
+def state_index(model: ModelSpec, state: UrnState) -> int:
     """Rank of a state, consistent with enumerate_states order."""
-    rank = subset_rank(state.rack1)
-    if model.family.signed:
-        return state.signs * comb(model.n, model.r) + rank
-    return rank
+    return state.signs * comb(model.n, model.r) + subset_rank(state.rack1)
 
 
-def state_at(model: ModelSpec, index: int) -> UrnState | SignedUrnState:
+def state_at(model: ModelSpec, index: int) -> UrnState:
     """Inverse of state_index."""
-    base = comb(model.n, model.r)
-    if model.family.signed:
-        signs, rank = divmod(index, base)
-        if signs >> model.n:
-            raise ValueError(f"index {index} out of range")
-        return SignedUrnState(rack1=subset_unrank(model.n, model.r, rank), signs=signs)
-    return UrnState(rack1=subset_unrank(model.n, model.r, index))
+    signs, rank = divmod(index, comb(model.n, model.r))
+    if signs >> model.charge_bits:
+        raise ValueError(f"index {index} out of range")
+    return UrnState(subset_unrank(model.n, model.r, rank), signs)
 
 
-def enumerate_states(model: ModelSpec):
+def enumerate_states(model: ModelSpec) -> list[UrnState]:
     """All states in index order.
 
     Colex rank of fixed-size subsets coincides with numeric mask order, so
     the subsets are simply the sorted masks.
     """
-    n, r = model.n, model.r
-    masks = sorted(sum(1 << b for b in c) for c in combinations(range(n), r))
-    if not model.family.signed:
-        return [UrnState(m) for m in masks]
-    states = []
-    for signs in range(1 << n):
-        for m in masks:
-            states.append(SignedUrnState(rack1=m, signs=signs))
-    return states
+    masks = sorted(sum(1 << b for b in c) for c in combinations(range(model.n), model.r))
+    return [UrnState(m, signs) for signs in range(1 << model.charge_bits) for m in masks]
 
 
 @dataclass

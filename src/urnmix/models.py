@@ -6,6 +6,7 @@ import enum
 import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 
 
@@ -53,6 +54,11 @@ class ModelSpec:
                 f"need 1 <= r <= n/2 (relabel racks otherwise), got n={self.n}, r={self.r}"
             )
 
+    @cached_property  # every chains.step reads it
+    def charge_bits(self) -> int:
+        """Bits of a state's charge word: n for the signed families, else 0."""
+        return self.n if self.family.signed else 0
+
 
 class SpaceCapError(RuntimeError):
     """The computation is larger than the requested resource cap."""
@@ -65,11 +71,8 @@ class SpaceCapError(RuntimeError):
 
 
 def space_size(model: ModelSpec) -> int:
-    """C(n,r) arrangements, times 2^n charge words for signed families."""
-    base = comb(model.n, model.r)
-    if model.family.signed:
-        return (1 << model.n) * base
-    return base
+    """C(n,r) arrangements, times 2^charge_bits charge words."""
+    return comb(model.n, model.r) << model.charge_bits
 
 
 def checked_space_size(model: ModelSpec, cap: int, what: str) -> int:
@@ -83,7 +86,7 @@ def checked_space_size(model: ModelSpec, cap: int, what: str) -> int:
     if n <= 1 << 12:  # comb(n, r) takes microseconds
         size, i = space_size(model), r
     else:
-        size, i = 1 << min(n if model.family.signed else 0, cap.bit_length()), 0
+        size, i = 1 << min(model.charge_bits, cap.bit_length()), 0
     while i < r and size <= cap:
         size = size * (n - i) // (i + 1)
         i += 1

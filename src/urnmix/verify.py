@@ -132,15 +132,16 @@ PLANCHEREL_GRID = SPECTRUM_GRID + [
 
 @_check("dimension-identities")
 def dimension_identities() -> str:
-    """Criterion 1: sum of dim * mult is C(n, r), times 2^n for signed families."""
+    """Criterion 1: sum of dim * mult is the state count, C(n, r) << charge_bits."""
     unsigned_n_max, signed_n_max = 14, 10
     for n in range(2, unsigned_n_max + 1):
         for r in range(1, n // 2 + 1):
             for family in Family:
                 if family.signed and n > signed_n_max:
                     continue
-                got = catalog.total_weight(catalog.catalog_entries(ModelSpec(family, n, r)))
-                want = comb(n, r) << n if family.signed else comb(n, r)
+                model = ModelSpec(family, n, r)
+                got = catalog.total_weight(catalog.catalog_entries(model))
+                want = comb(n, r) << model.charge_bits
                 if got != want:
                     raise CheckFailed(
                         f"{family.value} n={n} r={r}: sum dim*mult = {got}, want {want}"
@@ -302,8 +303,8 @@ def montecarlo_replay_mismatch(
         stream = montecarlo.WalkerStream(seed, lo + j)
         for _ in range(k):
             state = chains.step(model, state, stream)
-        got = (_mask_of(rack[:, j]), 0 if signs is None else _mask_of(signs[:, j]))
-        if got != (state.rack1, getattr(state, "signs", 0)):
+        got = chains.UrnState(_mask_of(rack[:, j]), 0 if signs is None else _mask_of(signs[:, j]))
+        if got != state:
             return f"{_label(model)} k={k} walker {lo + j}: packed words differ from scalar replay"
     return None
 

@@ -2,7 +2,6 @@
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 from urnmix import chains
 from urnmix.chains import (
-    SignedUrnState,
     UrnState,
     draw_bounds,
     initial_state,
@@ -45,7 +43,7 @@ def test_model_validation():
 
 def test_initial_state():
     assert initial_state(ModelSpec(Family.CLASSICAL, 6, 2)) == UrnState(0b11)
-    assert initial_state(ModelSpec(Family.PAIRED_FLIPS, 6, 3)) == SignedUrnState(0b111, 0)
+    assert initial_state(ModelSpec(Family.PAIRED_FLIPS, 6, 3)) == UrnState(0b111, 0)
 
 
 @given(st.integers(2, 16), st.data())
@@ -73,12 +71,14 @@ def test_step_rejects_wrong_state_shape(family):
     model = ModelSpec(family, 4, 2)
     start = initial_state(model)
     bad = [
-        UrnState(0b11) if family.signed else SignedUrnState(0b11, 0),  # the other state type
-        replace(start, rack1=0b111),  # three balls on rack 1
-        replace(start, rack1=0b10001),  # a bit beyond ball n
+        start._replace(rack1=0b111),  # three balls on rack 1
+        start._replace(rack1=0b10001),  # a bit beyond ball n
+        (0b11, 0),  # the right fields in a plain tuple
     ]
     if family.signed:
-        bad.append(SignedUrnState(0b11, 0b10000))  # a charge beyond ball n
+        bad.append(start._replace(signs=0b10000))  # a charge beyond ball n
+    else:
+        bad.append(start._replace(signs=0b1))  # any charge on an unsigned model
     for state in bad:
         with pytest.raises(ValueError):
             step(model, state, _NoDraws())
@@ -122,32 +122,32 @@ def test_kernel_row_classical_4_2():
 
 def test_kernel_row_independent_2_1():
     model = ModelSpec(Family.INDEPENDENT_FLIPS, 2, 1)
-    row = kernel_row(model, SignedUrnState(0b01, 0b00))
+    row = kernel_row(model, UrnState(0b01, 0b00))
     w = row.weight_to
     # same ball drawn (prob 1/2): charge flip is a fair coin on that ball
-    assert w(SignedUrnState(0b01, 0b00)) == Fraction(1, 4)
-    assert w(SignedUrnState(0b01, 0b01)) == Fraction(1, 8)
-    assert w(SignedUrnState(0b01, 0b10)) == Fraction(1, 8)
+    assert w(UrnState(0b01, 0b00)) == Fraction(1, 4)
+    assert w(UrnState(0b01, 0b01)) == Fraction(1, 8)
+    assert w(UrnState(0b01, 0b10)) == Fraction(1, 8)
     # distinct balls (prob 1/2): swap with two independent charge coins
-    assert w(SignedUrnState(0b10, 0b00)) == Fraction(1, 8)
-    assert w(SignedUrnState(0b10, 0b01)) == Fraction(1, 8)
-    assert w(SignedUrnState(0b10, 0b10)) == Fraction(1, 8)
-    assert w(SignedUrnState(0b10, 0b11)) == Fraction(1, 8)
+    assert w(UrnState(0b10, 0b00)) == Fraction(1, 8)
+    assert w(UrnState(0b10, 0b01)) == Fraction(1, 8)
+    assert w(UrnState(0b10, 0b10)) == Fraction(1, 8)
+    assert w(UrnState(0b10, 0b11)) == Fraction(1, 8)
     assert row.total() == 1
 
 
 def test_kernel_row_paired_2_1():
     model = ModelSpec(Family.PAIRED_FLIPS, 2, 1)
-    row = kernel_row(model, SignedUrnState(0b01, 0b00))
+    row = kernel_row(model, UrnState(0b01, 0b00))
     w = row.weight_to
     # same ball (either of the two): the coin flips just that ball or nothing
-    assert w(SignedUrnState(0b01, 0b00)) == Fraction(1, 4)
-    assert w(SignedUrnState(0b01, 0b01)) == Fraction(1, 8)
-    assert w(SignedUrnState(0b01, 0b10)) == Fraction(1, 8)
+    assert w(UrnState(0b01, 0b00)) == Fraction(1, 4)
+    assert w(UrnState(0b01, 0b01)) == Fraction(1, 8)
+    assert w(UrnState(0b01, 0b10)) == Fraction(1, 8)
     # distinct balls: swap, both charges flip together or stay
-    assert w(SignedUrnState(0b10, 0b00)) == Fraction(1, 4)
-    assert w(SignedUrnState(0b10, 0b11)) == Fraction(1, 4)
-    assert w(SignedUrnState(0b10, 0b01)) == 0
+    assert w(UrnState(0b10, 0b00)) == Fraction(1, 4)
+    assert w(UrnState(0b10, 0b11)) == Fraction(1, 4)
+    assert w(UrnState(0b10, 0b01)) == 0
     assert row.total() == 1
 
 
@@ -160,6 +160,8 @@ def test_kernel_rows_stochastic_and_symmetric(model):
     for s in states:
         assert rows[s].total() == 1
         assert all(w > 0 for _, w in rows[s].entries)
+        if not model.family.signed:
+            assert all(t.signs == 0 for t, _ in rows[s].entries)
     for s in states:
         for t, w in rows[s].entries:
             assert rows[t].weight_to(s) == w
@@ -241,7 +243,7 @@ def test_stream_consumption_is_fixed_per_step(seed, model):
 def _one_charge_paired(model, state, draws):
     """A faulty paired step: the coin flips only the first drawn ball."""
     b1, b2, c = draws
-    return SignedUrnState(chains._swap_subset(state.rack1, b1, b2), state.signs ^ (c << b1))
+    return UrnState(chains._swap_subset(state.rack1, b1, b2), state.signs ^ (c << b1))
 
 
 def test_kernel_rows_check_catches_a_faulty_sampler(monkeypatch):

@@ -151,12 +151,11 @@ def test_exact_rational_dump(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_CLI))
-def test_cli_output_matches_golden_digest(command, capsys, monkeypatch):
+def test_cli_output_matches_golden_digest(command, capsys):
     """The byte contract: catalog, exact --rational and simulate keep their recorded sha256.
 
     simulate is digested with elapsed_s zeroed, as its manifest does.
     """
-    monkeypatch.delenv("URNMIX_SEED", raising=False)
     argv = command.split()
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -400,18 +399,6 @@ def test_grids_are_capped_before_they_are_built(monkeypatch):
         with pytest.raises(SpaceCapError) as info:
             parse(spec)
         assert info.value.required == points
-
-
-def test_simulate_seed_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("URNMIX_SEED", "777")
-    code, out, _ = run_cli(
-        capsys, "simulate", "--family", "variant", "--n", "10", "--r", "5",
-        "--k", "0", "--walkers", "10",
-    )
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["seed"] == 777
-    assert doc["mean_s1"] == 1.0
 
 
 def test_output_flag_writes_file_and_manifest(tmp_path, capsys):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from urnmix import exact
 from urnmix.bounds import l2n_sq_bound, tv_upper
 from urnmix.catalog import catalog_entries
-from urnmix.chains import SignedUrnState, UrnState, initial_state, kernel_row, step_units
+from urnmix.chains import initial_state, kernel_row, step_units
 from urnmix.exact import (
     SpaceCapError,
     distance_curve,
@@ -68,25 +68,29 @@ def test_space_size():
     assert space_size(ModelSpec(Family.PAIRED_FLIPS, 6, 3)) == 64 * 20
 
 
-def test_state_indexing_roundtrip():
-    for model in (
-        ModelSpec(Family.VARIANT, 6, 2),
-        ModelSpec(Family.PAIRED_FLIPS, 4, 2),
-    ):
-        states = enumerate_states(model)
-        assert len(states) == space_size(model)
-        assert len(set(states)) == len(states)
-        for i, s in enumerate(states):
-            assert state_index(model, s) == i
-            assert state_at(model, i) == s
-    # unsigned states come out in increasing mask order
-    masks = [s.rack1 for s in enumerate_states(ModelSpec(Family.VARIANT, 6, 2))]
+INDEXED_MODELS = [
+    ModelSpec(Family.CLASSICAL, 6, 3),
+    ModelSpec(Family.VARIANT, 6, 2),
+    ModelSpec(Family.INDEPENDENT_FLIPS, 4, 1),
+    ModelSpec(Family.PAIRED_FLIPS, 4, 2),
+]
+
+
+@pytest.mark.parametrize("model", INDEXED_MODELS, ids=str)
+def test_state_indexing_roundtrip(model):
+    states = enumerate_states(model)
+    assert len(states) == space_size(model)
+    assert len(set(states)) == len(states)
+    for i, s in enumerate(states):
+        assert state_index(model, s) == i
+        assert state_at(model, i) == s
+        assert s.signs >> model.charge_bits == 0
+    # within each charge word the subsets come out in increasing mask order
+    masks = [s.rack1 for s in states[: math.comb(model.n, model.r)]]
     assert masks == sorted(masks)
 
 
-@pytest.mark.parametrize(
-    "model", [ModelSpec(Family.VARIANT, 6, 2), ModelSpec(Family.PAIRED_FLIPS, 4, 2)], ids=str
-)
+@pytest.mark.parametrize("model", INDEXED_MODELS, ids=str)
 def test_state_at_rejects_out_of_range_indices(model):
     size = space_size(model)
     for index in (-1, size, size + 7):

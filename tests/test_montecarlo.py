@@ -341,7 +341,7 @@ def test_vectorized_run_matches_scalar_stepping(family, tmp_path):
             state = step(model, state, rng)
         signs, rack1 = struct.unpack_from("<QQ", body, w * 16)
         assert rack1 == state.rack1
-        assert signs == getattr(state, "signs", 0)
+        assert signs == state.signs
 
 
 @pytest.mark.parametrize(
