@@ -9,12 +9,14 @@ produce bit-identical trajectories.
 
 The vectorized engine keeps each block of walkers as uint64 mask words,
 ceil(n/64) per walker for the rack and as many for the charges, so a step
-is a few elementwise word operations for any n.  Classical steps pick the
-i-th smallest ball of a rack by a popcount search over the words, as
-chains.step does by counting set bits.  A block is walked in contiguous
-pieces, on several threads when it is large enough; numpy releases the GIL
-inside each word operation, and each walker's stream is its own, so the
-words come out the same for any thread count.
+is a few elementwise word operations for any n; at one word (n <= 64) it
+skips the per-word shift offsets and the XOR over words.  Classical steps
+pick the i-th smallest ball of a rack, as chains.step does by counting set
+bits: the index is carried over the words by their popcounts, then a
+broadword select finds the byte and a table the bit.  A block is walked in
+contiguous pieces, on several threads when it is large enough; numpy
+releases the GIL inside each word operation, and each walker's stream is
+its own, so the words come out the same for any thread count.
 
 Summaries report the first spherical function s1 = 1 - j n/(r(n-r)) of each
 terminal state, j being the count of rack-1 balls with labels above r;
@@ -67,7 +69,7 @@ BLOCK_WORD_CAP = 1 << 22
 # at the cap.
 WALKER_CAP = 1 << 26
 # Steps one run may take, the float evolution's exact.FLOAT_STEP_CAP.  At the
-# cap one n = 8 walker took 2.2-2.6 s (variant, signed) and 16 s (classical).
+# cap one n = 8 walker took 1.9-2.4 s (variant, signed) and 8.3 s (classical).
 STEP_CAP = 10**5
 
 _M64 = (1 << 64) - 1
@@ -190,7 +192,22 @@ def _draws(wh: np.ndarray, t: int, bound: np.ndarray, out: np.ndarray, tmp: np.n
 # or more, so in every other word the shift lands on nothing and one
 # elementwise expression serves all W words.
 _ONE = _U(1)
-_HALVES = tuple((_U(width), _U((1 << width) - 1)) for width in (32, 16, 8, 4, 2, 1))
+_B1, _B8, _BYTE = _U(0x0101010101010101), _U(0x8080808080808080), _U(0xFF)
+_S3, _S8 = _U(3), _U(8)
+
+
+def _byte_select_table() -> np.ndarray:
+    """_SEL[256 i + b]: position of the i-th (0-based) set bit of byte b, 8 past its popcount.
+
+    That position is the number of bits j whose running count through j,
+    popcount(b & (2 << j) - 1), is at most i.
+    """
+    low = (_U(2) << np.arange(8, dtype=np.uint64)[:, None]) - _ONE
+    upto = np.bitwise_count(np.arange(256, dtype=np.uint64) & low)
+    return np.add.reduce(upto <= np.arange(8, dtype=np.uint8)[:, None, None], axis=1, dtype=np.uint64).ravel()
+
+
+_SEL = _byte_select_table()
 
 
 def _words(mask: int, width: int) -> np.ndarray:
@@ -198,34 +215,55 @@ def _words(mask: int, width: int) -> np.ndarray:
     return np.frombuffer(mask.to_bytes(8 * width, "little"), dtype="<u8").astype(np.uint64).reshape(width, 1)
 
 
-def _select(words: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Ball index of the idx-th (0-based) set bit of each column of words.
+def _select(words: np.ndarray, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Ball index of the idx-th (0-based) set bit of each column of words, in out[0].
 
     The leftover index is carried from word to word until it falls inside
-    one; that word is then halved six times, stepping into the upper half
-    whenever the lower half holds at most idx set bits.  idx is consumed.
+    one.  In that word a broadword select finds the byte: the byte
+    popcounts times 0x0101...01 hold in byte j the set bits of bytes 0..j,
+    and one borrow-free subtraction per byte counts the bytes where that is
+    at most idx, which is the byte holding the bit.  _SEL gives the bit
+    inside the byte from the rank left over.  out is (3, columns) uint64
+    scratch, so that a step allocates nothing at one word.  idx is consumed.
     """
-    x = words[0].copy()
-    pos = np.zeros_like(idx)
-    count = np.empty(idx.shape, dtype=np.uint8)
-    up = np.empty(idx.shape, dtype=bool)
-    shift = np.empty_like(idx)
-    for word in words[1:]:
-        np.bitwise_count(x, out=count)
-        np.greater_equal(idx, count, out=up)
-        np.copyto(x, word, where=up)
-        pos += up * _U(64)
-        idx -= count * up
-    for width, low in _HALVES:
-        np.bitwise_and(x, low, out=shift)
-        np.bitwise_count(shift, out=count)
-        np.greater_equal(idx, count, out=up)
-        np.multiply(up, width, out=shift)
-        x >>= shift
-        pos += shift
-        count *= up
-        idx -= count
-    return pos
+    bit, upto, shift = out
+    x = words[0]
+    if len(words) > 1:
+        x = x.copy()
+        pos = np.zeros_like(idx)
+        count = np.empty(idx.shape, dtype=np.uint8)
+        up = np.empty(idx.shape, dtype=bool)
+        for word in words[1:]:
+            np.bitwise_count(x, out=count)
+            np.greater_equal(idx, count, out=up)
+            np.copyto(x, word, where=up)
+            pos += up * _U(64)
+            idx -= count * up
+    np.bitwise_count(x.view(np.uint8), out=upto.view(np.uint8))
+    upto *= _B1
+    # byte j becomes 128 + idx - upto_j, in 64 .. 191 as idx < 64 and
+    # upto_j <= 64: no byte borrows, and the top bit is set where upto_j <= idx
+    np.multiply(idx, _B1, out=shift)
+    shift |= _B8
+    shift -= upto
+    shift &= _B8
+    np.bitwise_count(shift, out=shift)
+    shift <<= _S3
+    np.right_shift(x, shift, out=bit)
+    bit &= _BYTE
+    # set bits below the byte: the running count of the byte before it
+    upto <<= _S8
+    upto >>= shift
+    upto &= _BYTE
+    idx -= upto
+    idx <<= _S8
+    idx += bit
+    # int64 indices, as uint64 ones are cast first; mode="raise" would buffer out
+    np.take(_SEL, idx.view(np.int64), out=bit, mode="clip")
+    bit += shift
+    if len(words) > 1:
+        bit += pos
+    return bit
 
 
 def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool = True):
@@ -244,7 +282,6 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     wh = _mix_np(_U(_seed_hash(seed)) ^ (np.arange(lo, hi, dtype=np.uint64) * _NC1 + _NC2), tmp)
     rack = np.repeat(_words((1 << r) - 1, width), nb, axis=1)
     signs = np.zeros_like(rack) if family.signed and charges else None
-    offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
     balls = _words((1 << n) - 1, width)
     bound = np.array(draw_bounds(model), dtype=np.uint64)[:, None]
     slots = len(bound)
@@ -252,43 +289,52 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     rows = slots if signs is not None else 2
     # per-step scratch, reused so the loop does not allocate
     draw, dtmp = np.empty((2, rows, nb), dtype=np.uint64)
-    sh1, sh2, cross, spare = np.empty((4, width, nb), dtype=np.uint64)
-    flip = np.empty(nb, dtype=np.uint64)
+    cross, spare = np.empty((2, width, nb), dtype=np.uint64)
+    classical = family is Family.CLASSICAL
+    # one word needs no per-word shifts: its offset is 0 and its XOR-reduce a copy
+    wide = width > 1
+    if wide:
+        offsets = _U(64) * np.arange(width, dtype=np.uint64)[:, None]
+        sh1, sh2 = np.empty((2, width, nb), dtype=np.uint64)
+    if classical:
+        picks = np.empty((2, 3, nb), dtype=np.uint64)
+        # a ball of rack 1 and a ball of rack 2 always swap
+        flip = _ONE
+    else:
+        flip = np.empty(nb, dtype=np.uint64) if wide else cross[0]
 
     for step_no in range(k):
         _draws(wh, step_no * slots, bound[:rows], draw, dtmp)
-        if family is Family.CLASSICAL:
-            np.subtract(_select(rack, draw[0]), offsets, out=sh1)
+        b1, b2 = s1, s2 = draw[0], draw[1]
+        if classical:
+            s1 = _select(rack, b1, picks[0])
             np.invert(rack, out=spare)
             spare &= balls
-            np.subtract(_select(spare, draw[1]), offsets, out=sh2)
-            np.left_shift(_ONE, sh1, out=spare)
-            rack ^= spare
-            np.left_shift(_ONE, sh2, out=spare)
-            rack ^= spare
-            continue
-        b1, b2 = draw[0], draw[1]
-        np.subtract(b1, offsets, out=sh1)
-        np.subtract(b2, offsets, out=sh2)
-        np.right_shift(rack, sh1, out=cross)
-        np.right_shift(rack, sh2, out=spare)
-        cross ^= spare
-        cross &= _ONE
-        np.bitwise_xor.reduce(cross, axis=0, out=flip)
-        np.left_shift(flip, sh1, out=spare)
+            s2 = _select(spare, b2, picks[1])
+        if wide:
+            s1 = np.subtract(s1, offsets, out=sh1)
+            s2 = np.subtract(s2, offsets, out=sh2)
+        if not classical:
+            np.right_shift(rack, s1, out=cross)
+            np.right_shift(rack, s2, out=spare)
+            cross ^= spare
+            cross &= _ONE
+            if wide:
+                np.bitwise_xor.reduce(cross, axis=0, out=flip)
+        np.left_shift(flip, s1, out=spare)
         rack ^= spare
-        np.left_shift(flip, sh2, out=spare)
+        np.left_shift(flip, s2, out=spare)
         rack ^= spare
         if signs is None:
             continue
         c1 = draw[2]
-        np.left_shift(c1, sh1, out=spare)
+        np.left_shift(c1, s1, out=spare)
         signs ^= spare
         # the second ball's coin is the last draw (c1 again for paired
         # flips); a ball drawn twice is flipped by the first coin alone
         np.not_equal(b1, b2, out=tmp)
         tmp &= draw[-1]
-        np.left_shift(tmp, sh2, out=spare)
+        np.left_shift(tmp, s2, out=spare)
         signs ^= spare
     return rack, signs
 

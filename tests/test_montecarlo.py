@@ -407,18 +407,36 @@ def test_numpy_shift_of_64_or_more_gives_zero():
     assert not (x >> wrapped).any()
 
 
+def test_byte_select_table_matches_nth_bit():
+    """_SEL[256 i + b] is the i-th set bit of byte b, for every rank b has."""
+    got = [[int(montecarlo._SEL[256 * i + b]) for i in range(b.bit_count())] for b in range(256)]
+    assert got == [[_nth_bit(b, i) for i in range(b.bit_count())] for b in range(256)]
+
+
+@st.composite
+def ranked_masks(draw):
+    """(width, [(mask, rank), ...]): nonzero masks of width words, each with a rank below its popcount."""
+    width = draw(st.integers(1, 3))
+    masks = draw(st.lists(st.integers(1, (1 << (64 * width)) - 1), min_size=1, max_size=8))
+    return width, [(m, draw(st.integers(0, m.bit_count() - 1))) for m in masks]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_select_matches_nth_bit(data):
-    width = data.draw(st.integers(1, 3))
-    masks = data.draw(st.lists(st.integers(1, (1 << (64 * width)) - 1), min_size=1, max_size=8))
-    idx = [data.draw(st.integers(0, m.bit_count() - 1)) for m in masks]
+@given(ranked_masks())
+@example((1, [((1 << 64) - 1, 63)]))
+@example((1, [(1 << 63, 0)]))
+@example((1, [(0xA5 << 56, 3), (0xFF << 56, 7)]))
+@example((1, [(0x8080808080808080, 7)]))
+@example((2, [(1 << 64, 0), ((1 << 128) - (1 << 64), 63)]))
+def test_select_matches_nth_bit(case):
+    width, pairs = case
     words = np.array(
-        [[(m >> (64 * w)) & ((1 << 64) - 1) for m in masks] for w in range(width)],
+        [[(m >> (64 * w)) & ((1 << 64) - 1) for m, _ in pairs] for w in range(width)],
         dtype=np.uint64,
     )
-    got = montecarlo._select(words, np.array(idx, dtype=np.uint64))
-    assert got.tolist() == [_nth_bit(m, i) for m, i in zip(masks, idx)]
+    idx = np.array([i for _, i in pairs], dtype=np.uint64)
+    got = montecarlo._select(words, idx, np.empty((3, len(pairs)), dtype=np.uint64))
+    assert got.tolist() == [_nth_bit(m, i) for m, i in pairs]
 
 
 WORD_EDGES = [63, 64, 65, 127, 128, 129]
@@ -435,6 +453,8 @@ def models(draw):
 @given(models(), st.integers(0, 30), st.integers(0, 10**6), st.integers(1, 12))
 @example(ModelSpec(Family.CLASSICAL, 63, 31), 30, 0, 5)
 @example(ModelSpec(Family.VARIANT, 64, 32), 30, 7, 5)
+@example(ModelSpec(Family.PAIRED_FLIPS, 64, 32), 30, 5, 5)
+@example(ModelSpec(Family.INDEPENDENT_FLIPS, 2, 1), 30, 2, 5)
 @example(ModelSpec(Family.INDEPENDENT_FLIPS, 65, 9), 30, 0, 5)
 @example(ModelSpec(Family.PAIRED_FLIPS, 127, 63), 30, 3, 5)
 @example(ModelSpec(Family.CLASSICAL, 128, 64), 30, 0, 5)
