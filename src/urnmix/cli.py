@@ -17,8 +17,9 @@ import math
 import sys
 import time
 
-# numpy-backed modules are imported by the subcommands that call them, so
-# catalog and usage errors start without numpy
+# numpy-backed modules are imported by the subcommands that call them, after
+# the model and the grids are checked, so catalog, usage errors and rejected
+# models start without numpy
 from . import __version__, catalog
 from .models import MAX_THREADS, Family, ModelSpec, SpaceCapError, space_size, thread_count
 
@@ -134,15 +135,18 @@ def cmd_catalog(args) -> int:
 
 def cmd_bounds(args) -> int:
     t0 = time.perf_counter()
-    from . import bounds
-
     model = _model_of(args)
     modes = [m for m in (args.k, args.k_grid, args.c, args.c_grid) if m is not None]
     if len(modes) != 1:
         raise ValueError("bounds needs exactly one of --k, --k-grid, --c, --c-grid")
-
-    if args.k is not None or args.k_grid is not None:
+    by_k = args.k is not None or args.k_grid is not None
+    if by_k:
         ks = [args.k] if args.k is not None else _parse_int_grid(args.k_grid)
+    else:
+        cs = [args.c] if args.c is not None else _parse_float_grid(args.c_grid)
+    from . import bounds
+
+    if by_k:
         points = bounds.bound_curve(model, ks)
         lines = ["k,l2n_sq_bound,tv_upper_raw,tv_upper_clamped"]
         for p in points:
@@ -151,7 +155,6 @@ def cmd_bounds(args) -> int:
             )
         params = {"k_grid": ks}
     else:
-        cs = [args.c] if args.c is not None else _parse_float_grid(args.c_grid)
         is_variant = model.family is Family.VARIANT
         header = "c,theorem_k"
         if is_variant:
@@ -174,12 +177,12 @@ def cmd_bounds(args) -> int:
 
 def cmd_exact(args) -> int:
     t0 = time.perf_counter()
-    from . import bounds, exact
-
     model = _model_of(args)
     if (args.k is None) == (args.k_grid is None):
         raise ValueError("exact needs exactly one of --k, --k-grid")
     ks = [args.k] if args.k is not None else _parse_int_grid(args.k_grid)
+    from . import bounds, exact
+
     if not args.rational:
         curve = {p.k: p.l2n_sq for p in bounds.bound_curve(model, ks)}
     lines = ["k,tv_exact,l2n_sq_exact,tv_upper,plancherel_rel_err"]
@@ -215,9 +218,9 @@ def cmd_exact(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
+    model = _model_of(args)
     from . import montecarlo
 
-    model = _model_of(args)
     cfg = montecarlo.SimConfig(model=model, k=args.k, walkers=args.walkers, seed=args.seed)
     summary = montecarlo.run(cfg, states_path=args.states_out, threads=args.threads)
     doc = {

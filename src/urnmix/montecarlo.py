@@ -135,8 +135,14 @@ class WalkerStream:
     def integers(self, n: int) -> int:
         if not 1 <= n < 1 << 32:
             raise ValueError(f"integers(n) needs 1 <= n < 2^32, got {n}")
-        h = _mix_int(self._wh ^ ((self._t * _C3 + _C4) & _M64))
+        # _mix_int inlined, one Python call per draw; h is already 64-bit
+        h = self._wh ^ ((self._t * _C3 + _C4) & _M64)
         self._t += 1
+        h ^= h >> 30
+        h = (h * _C1) & _M64
+        h ^= h >> 27
+        h = (h * _C2) & _M64
+        h ^= h >> 31
         return ((h >> 32) * n) >> 32
 
 

@@ -168,10 +168,11 @@ def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
     kernel_row counts the stepper behind chains.step over all its draws, so
     this compares the sampler itself with the table.  Targets must be intp,
     one row per state and one column per unit; each row must hold
-    kernel_row's (target, weight) pairs, in any order, with each weight
-    scaled to integer units of 1/step_units; and the table must be symmetric
-    with every row summing to step_units, so kernel_row's rows sum to 1
-    exactly.
+    kernel_row's (target, weight) pairs, in any order, as (index, units)
+    integers: weight w is w.numerator * (step_units // w.denominator)
+    units, and a denominator that does not divide step_units fails.  The
+    table must be symmetric with every row summing to step_units, so
+    kernel_row's rows sum to 1 exactly.
     """
     label = _label(model)
     targets, units = table
@@ -188,7 +189,13 @@ def kernel_table_mismatch(model: ModelSpec, table) -> str | None:
         row = chains.kernel_row(model, state).entries
         if len(row) != len(columns):
             return f"{label}: kernel table row length {len(columns)}, kernel_row {len(row)}"
-        if set(zip(got.tolist(), columns)) != {(exact.state_index(model, t), w * step) for t, w in row}:
+        want = set()
+        for t, w in row:
+            scale, rem = divmod(step, w.denominator)
+            if rem:
+                return f"{label}: kernel_row weight {w} is not in units of 1/{step}"
+            want.add((exact.state_index(model, t), w.numerator * scale))
+        if set(zip(got.tolist(), columns)) != want:
             return f"{label}: kernel table row {source} differs from kernel_row"
     mat = np.zeros((n_states, n_states), dtype=np.int64)
     mat[np.arange(n_states)[:, None], targets] = units

@@ -5,12 +5,14 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from urnmix import chains
 from urnmix.chains import (
+    ROW_OUTCOME_CAP,
     UrnState,
+    _nth_bit,
     draw_bounds,
     initial_state,
     kernel_row,
@@ -19,7 +21,7 @@ from urnmix.chains import (
     subset_rank,
     subset_unrank,
 )
-from urnmix.models import Family, ModelSpec
+from urnmix.models import Family, ModelSpec, SpaceCapError
 from urnmix.montecarlo import WalkerStream
 
 SMALL_MODELS = [
@@ -57,6 +59,60 @@ def test_subset_rank_unrank_roundtrip(n, data):
     for rank, mask in enumerate(masks):
         assert subset_rank(mask) == rank
         assert subset_unrank(n, r, rank) == mask
+
+
+# widths around the 64-bit word at which _nth_bit stops halving, and wide ones
+NTH_BIT_WIDTHS = [1, 63, 64, 65, 128, 129, 1000, 4096]
+
+
+@st.composite
+def ranked_masks(draw):
+    """(mask, idx): a nonzero mask of up to 4096 bits and a rank below its popcount."""
+    width = draw(st.one_of(st.sampled_from(NTH_BIT_WIDTHS), st.integers(1, 4096)))
+    mask = draw(
+        st.one_of(
+            st.integers(1, (1 << width) - 1),
+            st.sets(st.integers(0, width - 1), min_size=1).map(lambda bits: sum(1 << b for b in bits)),
+        )
+    )
+    return mask, draw(st.integers(0, mask.bit_count() - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_masks())
+@example((1, 0))
+@example(((1 << 63) - 1, 0))
+@example(((1 << 63) - 1, 62))
+@example(((1 << 64) - 1, 0))
+@example(((1 << 64) - 1, 63))
+@example(((1 << 65) - 1, 0))
+@example(((1 << 65) - 1, 64))
+@example(((1 << 128) - 1, 0))
+@example(((1 << 128) - 1, 127))
+@example(((1 << 129) - 1, 0))
+@example(((1 << 129) - 1, 128))
+@example(((1 << 1000) - 1, 0))
+@example(((1 << 1000) - 1, 999))
+@example(((1 << 4096) - 1, 0))
+@example(((1 << 4096) - 1, 4095))
+@example(((1 << 4095) | 1, 1))
+@example(((1 << 4095) | (1 << 64), 0))
+def test_nth_bit_matches_a_list_of_set_bits(case):
+    mask, idx = case
+    assert _nth_bit(mask, idx) == [b for b in range(mask.bit_length()) if mask >> b & 1][idx]
+
+
+@pytest.mark.parametrize("width", NTH_BIT_WIDTHS)
+def test_nth_bit_rejects_ranks_outside_the_popcount(width):
+    for mask in ((1 << width) - 1, (1 << (width - 1)) | 1):
+        for idx in (-1, mask.bit_count()):
+            with pytest.raises(IndexError):
+                _nth_bit(mask, idx)
+
+
+def test_nth_bit_of_an_empty_mask_raises():
+    with pytest.raises(IndexError):
+        _nth_bit(0, 0)
 
 
 class _NoDraws:
@@ -256,3 +312,14 @@ def test_kernel_rows_check_catches_a_faulty_sampler(monkeypatch):
     result = verify.kernel_rows()
     assert not result.ok
     assert "paired" in result.detail
+
+
+def test_kernel_row_outcome_cap_at_its_edge():
+    """A row of exactly ROW_OUTCOME_CAP outcomes is built; one more raises before any runs."""
+    at = ModelSpec(Family.PAIRED_FLIPS, 256, 1)
+    assert step_units(at) == ROW_OUTCOME_CAP
+    assert kernel_row(at, initial_state(at)).total() == 1
+    for past in (ModelSpec(Family.PAIRED_FLIPS, 257, 1), ModelSpec(Family.VARIANT, 10**9, 1)):
+        assert step_units(past) > ROW_OUTCOME_CAP
+        with pytest.raises(SpaceCapError, match="kernel_row draw outcomes"):
+            kernel_row(past, initial_state(past))

@@ -301,8 +301,18 @@ print(code, "numpy" in sys.modules)
         (NUMPY_PROBE, ["catalog", "--family", "paired", "--n", "5"], "2 False"),
         # the subcommands that compute with numpy do load it
         (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "4", "--r", "2", "--k", "1"], "0 True"),
+        # but only after the model, the grids and the modes are checked
+        (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "8", "--r", "9", "--k", "1"], "2 False"),
+        (NUMPY_PROBE, ["exact", "--family", "variant", "--n", "8", "--r", "9", "--k", "1"], "2 False"),
+        (NUMPY_PROBE, ["simulate", "--family", "variant", "--n", "8", "--r", "9", "--k", "1",
+                       "--walkers", "1"], "2 False"),
+        (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "8", "--r", "4", "--k", "1", "--c", "1"], "2 False"),
+        (NUMPY_PROBE, ["exact", "--family", "variant", "--n", "8", "--r", "4", "--k-grid", "1:2"], "2 False"),
+        (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "8", "--r", "4",
+                       "--k-grid", "0:10000000000:1"], "3 False"),
     ],
-    ids=["import", "catalog", "usage-error", "bounds"],
+    ids=["import", "catalog", "usage-error", "bounds", "bounds-bad-model", "exact-bad-model",
+         "simulate-bad-model", "bounds-two-modes", "exact-bad-grid", "bounds-grid-cap"],
 )
 def test_start_up_is_numpy_free(probe, argv, want):
     src = Path(cli.__file__).resolve().parent.parent

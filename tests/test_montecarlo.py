@@ -32,6 +32,20 @@ def test_walker_stream_reproducible():
     assert [a.integers(50) for _ in range(1000)] == [b.integers(50) for _ in range(1000)]
 
 
+@pytest.mark.parametrize("seed, walker", [(0, 0), (123, 7), (-1, 5), (1 << 70, 1 << 40)])
+def test_walker_stream_draws_are_the_splitmix_hash_of_the_counter(seed, walker):
+    """integers(n) is the top 32 bits of _mix_int(walker hash ^ counter hash), scaled to [0, n)."""
+    bounds = [1, 2, 3, 7, 16, 1000, 65537, (1 << 32) - 1]
+    stream = WalkerStream(seed, walker)
+    got = [stream.integers(b) for b in bounds * 8]
+    wh = montecarlo._walker_hash_int(seed, walker)
+    want = []
+    for t, b in enumerate(bounds * 8):
+        h = montecarlo._mix_int(wh ^ ((t * montecarlo._C3 + montecarlo._C4) & montecarlo._M64))
+        want.append(((h >> 32) * b) >> 32)
+    assert got == want
+
+
 def test_walker_streams_are_separated():
     a = [WalkerStream(123, 0).integers(10) for _ in range(200)]
     b = [WalkerStream(123, 1).integers(10) for _ in range(200)]
@@ -459,6 +473,7 @@ def models(draw):
 @example(ModelSpec(Family.PAIRED_FLIPS, 127, 63), 30, 3, 5)
 @example(ModelSpec(Family.CLASSICAL, 128, 64), 30, 0, 5)
 @example(ModelSpec(Family.VARIANT, 129, 1), 30, 11, 5)
+@example(ModelSpec(Family.CLASSICAL, 1000, 500), 30, 4, 5)
 def test_packed_walk_matches_scalar_replay(model, k, lo, block):
     """Every walker of a block, at any n, equals its chains.step replay."""
     assert montecarlo_replay_mismatch(model, k, seed=lo ^ 0x5EED, lo=lo, hi=lo + block) is None
