@@ -19,6 +19,7 @@ from the table in one assignment.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -50,6 +51,7 @@ __all__ = [
     "TraceCheckRow",
     "distribution_csv",
     "DENSE_CAP",
+    "TABLE_BYTE_CAP",
     "FLOAT_STATE_CAP",
     "FLOAT_STEP_CAP",
     "RATIONAL_STATE_CAP",
@@ -61,6 +63,8 @@ FLOAT_STEP_CAP = 10**5
 RATIONAL_STATE_CAP = 10**4
 RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
+# estimated bytes (_table_bytes) that one kernel table and its float evolution may hold
+TABLE_BYTE_CAP = 1 << 30
 
 
 def state_index(model: ModelSpec, state: UrnState) -> int:
@@ -76,13 +80,21 @@ def state_at(model: ModelSpec, index: int) -> UrnState:
     return UrnState(subset_unrank(model.n, model.r, rank), signs)
 
 
-def enumerate_states(model: ModelSpec) -> list[UrnState]:
-    """All states in index order.
+def _colex_reversed(n: int, r: int):
+    """The r-subsets of the balls as descending tuples, last index first.
 
-    Colex rank of fixed-size subsets coincides with numeric mask order, so
-    the subsets are simply the sorted masks.
+    combinations over the balls in descending order compares the largest
+    ball first, so it yields the masks in descending numeric order.  Colex
+    rank of fixed-size subsets coincides with numeric mask order, so the
+    reverse of this is index order, with no sort.
     """
-    masks = sorted(sum(1 << b for b in c) for c in combinations(range(model.n), model.r))
+    return combinations(range(n - 1, -1, -1), r)
+
+
+def enumerate_states(model: ModelSpec) -> list[UrnState]:
+    """All states in index order."""
+    masks = [sum(1 << b for b in c) for c in _colex_reversed(model.n, model.r)]
+    masks.reverse()
     return [UrnState(m, signs) for signs in range(1 << model.charge_bits) for m in masks]
 
 
@@ -123,13 +135,27 @@ def _subsets(bits: np.ndarray, r: int):
     """
     n = len(bits)
     members = np.fromiter(
-        chain.from_iterable(combinations(range(n), r)), dtype=np.intp, count=comb(n, r) * r
-    ).reshape(-1, r)
+        chain.from_iterable(_colex_reversed(n, r)), dtype=np.intp, count=comb(n, r) * r
+    ).reshape(-1, r)[::-1]
     masks = bits[members].sum(axis=1)
-    order = np.argsort(masks)
     inside = np.zeros((len(masks), n), dtype=bool)
-    inside[np.arange(len(masks))[:, None], members[order]] = True
-    return masks[order], inside
+    inside[np.arange(len(masks))[:, None], members] = True
+    return masks, inside
+
+
+def _table_bytes(model: ModelSpec, width: int) -> int:
+    """Estimated peak bytes of a kernel table with width columns and a float step over it.
+
+    Each entry holds an intp target, a float64 weight and its share of a
+    step's temporary: 24 bytes.  Past 62 balls the masks are Python ints,
+    and each cross entry also builds one while the table is formed: a rack
+    mask with two balls swapped, of up to n bits, and the pointer to it.
+    """
+    n, r = model.n, model.r
+    size = 24 * space_size(model) * width
+    if n > 62:
+        size += comb(n, r) * r * (n - r) * (sys.getsizeof(1 << (n - 1)) + 8)
+    return size
 
 
 def _kernel_table(model: ModelSpec):
@@ -160,8 +186,26 @@ def _kernel_table(model: ModelSpec):
     into those flips lays out the rows of all 2^n words.  chains.kernel_row,
     the sampler counted over all its draws, is the oracle this table equals
     row for row, as sets of (target, units) pairs.
+
+    The callers bound the state count; the table's size is bounded here, by
+    _table_bytes against TABLE_BYTE_CAP, before anything is allocated.
     """
     n, r, family = model.n, model.r, model.family
+    swaps, same = r * (n - r), comb(r, 2) + comb(n - r, 2)
+    if family is Family.CLASSICAL:
+        units = [1] * swaps
+    elif family is Family.VARIANT:
+        units = [n * n - 2 * swaps] + [2] * swaps
+    elif family is Family.INDEPENDENT_FLIPS:
+        units = [2 * n + 2 * same] + [2 * r] * r + [2 * (n - r)] * (n - r) + [2] * (same + 4 * swaps)
+    else:
+        units = [n + 2 * same] + [1] * n + [2] * (same + 2 * swaps)
+    if sum(units) != step_units(model):
+        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
+    table_bytes = _table_bytes(model, len(units))
+    if table_bytes > TABLE_BYTE_CAP:
+        raise SpaceCapError(table_bytes, TABLE_BYTE_CAP, "kernel table size in bytes")
+
     bits = _ball_bits(n)
     masks, inside = _subsets(bits, r)
     base = len(masks)
@@ -170,25 +214,20 @@ def _kernel_table(model: ModelSpec):
     swapped = masks[:, None, None] ^ rack1[:, :, None] ^ rack2[:, None, :]
     cross = np.searchsorted(masks, swapped.reshape(base, -1))
     del swapped
-    swaps = r * (n - r)
     own = np.arange(base)[:, None]
     if family is Family.CLASSICAL:
-        targets, units = cross, [1] * swaps
+        targets = cross
     elif family is Family.VARIANT:
-        targets, units = np.concatenate([own, cross], axis=1), [n * n - 2 * swaps] + [2] * swaps
+        targets = np.concatenate([own, cross], axis=1)
     else:
         (i1, j1), (i2, j2) = np.triu_indices(r, 1), np.triu_indices(n - r, 1)
         pairs = np.concatenate([rack1[:, i1] | rack1[:, j1], rack2[:, i2] | rack2[:, j2]], axis=1)
         # cross pair a * (n - r) + b is rack-1 ball a and rack-2 ball b
         first, second = np.repeat(rack1, n - r, axis=1), np.tile(rack2, r)
-        same = pairs.shape[1]
         if family is Family.INDEPENDENT_FLIPS:
             cross_flips = (np.zeros_like(first), first, second, first | second)
-            units = [2 * n + 2 * same] + [2 * r] * r + [2 * (n - r)] * (n - r)
         else:
             cross_flips = (np.zeros_like(first), first | second)
-            units = [n + 2 * same] + [1] * n
-        units += [2] * (same + len(cross_flips) * swaps)
         flips = np.concatenate([np.zeros_like(own), rack1, rack2, pairs, *cross_flips], axis=1)
         ranks = np.concatenate(
             [np.broadcast_to(own, (base, 1 + n + same)), np.tile(cross, len(cross_flips))], axis=1
@@ -197,8 +236,6 @@ def _kernel_table(model: ModelSpec):
         targets *= base
         targets += ranks
         targets = targets.reshape(-1, len(units))
-    if sum(units) != step_units(model):
-        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
     return targets, np.array(units, dtype=np.int64)
 
 
@@ -329,16 +366,15 @@ def _dense_kernel(model: ModelSpec) -> np.ndarray:
 def spectrum(model: ModelSpec) -> np.ndarray:
     """All kernel eigenvalues, descending.
 
-    The rational kernel is symmetric, so the float matrix is symmetric to
-    the last bit; this is checked (tolerance 1e-15, RuntimeError otherwise)
-    before symmetrizing and calling the dense symmetric eigensolver.
+    Each entry is units / step_units(model), so the float matrix is
+    symmetric to the bit exactly when the integer table is.  That is checked
+    exactly (RuntimeError otherwise) before the dense symmetric eigensolver
+    reads the matrix as it is.
     """
     mat = _dense_kernel(model)
-    skew = np.abs(mat - mat.T).max()
-    if skew > 1e-15:
-        raise RuntimeError(f"{_label(model)}: kernel asymmetry {skew}")
-    sym = (mat + mat.T) / 2.0
-    return np.sort(np.linalg.eigvalsh(sym))[::-1]
+    if not np.array_equal(mat, mat.T):
+        raise RuntimeError(f"{_label(model)}: kernel asymmetry")
+    return np.sort(np.linalg.eigvalsh(mat))[::-1]
 
 
 def _catalog_spectrum(model: ModelSpec):

@@ -298,6 +298,7 @@ print(code, "numpy" in sys.modules)
     [
         ("import sys, urnmix; print(0, 'numpy' in sys.modules)", [], "0 False"),
         (NUMPY_PROBE, ["catalog", "--family", "paired", "--n", "5", "--r", "2"], "0 False"),
+        (NUMPY_PROBE, ["catalog", "--family", "variant", "--n", "8", "--r", "4"], "0 False"),
         (NUMPY_PROBE, ["catalog", "--family", "paired", "--n", "5"], "2 False"),
         # the subcommands that compute with numpy do load it
         (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "4", "--r", "2", "--k", "1"], "0 True"),
@@ -311,8 +312,8 @@ print(code, "numpy" in sys.modules)
         (NUMPY_PROBE, ["bounds", "--family", "variant", "--n", "8", "--r", "4",
                        "--k-grid", "0:10000000000:1"], "3 False"),
     ],
-    ids=["import", "catalog", "usage-error", "bounds", "bounds-bad-model", "exact-bad-model",
-         "simulate-bad-model", "bounds-two-modes", "exact-bad-grid", "bounds-grid-cap"],
+    ids=["import", "catalog", "catalog-variant", "usage-error", "bounds", "bounds-bad-model",
+         "exact-bad-model", "simulate-bad-model", "bounds-two-modes", "exact-bad-grid", "bounds-grid-cap"],
 )
 def test_start_up_is_numpy_free(probe, argv, want):
     src = Path(cli.__file__).resolve().parent.parent
@@ -386,6 +387,10 @@ EDGE_ARGVS = [
     (["simulate", "--family", "variant", "--n", "100000000", "--r", "2", "--k", "1", "--walkers", "1000"], 3),
     (["simulate", "--family", "variant", "--n", "8", "--r", "4", "--k", "1", "--walkers", "100000000000"], 3),
     (["simulate", "--family", "variant", "--n", "8", "--r", "4", "--k", "1000000000000", "--walkers", "1"], 3),
+    # within every state cap, but past the kernel table's byte cap
+    (["exact", "--family", "variant", "--n", "3000", "--r", "1", "--k", "1"], 3),
+    (["exact", "--family", "variant", "--n", "10000", "--r", "1", "--k", "1", "--rational"], 3),
+    (["exact", "--family", "independent", "--n", "11", "--r", "5", "--k", "2"], 3),
 ]
 
 

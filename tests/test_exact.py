@@ -375,6 +375,59 @@ def test_space_caps(monkeypatch):
     assert str(err.cap) in str(err)
 
 
+def test_table_byte_cap_edge(monkeypatch):
+    """A table of exactly TABLE_BYTE_CAP estimated bytes builds; one byte less raises."""
+    for model in (ModelSpec(Family.VARIANT, 6, 3), ModelSpec(Family.PAIRED_FLIPS, 4, 2),
+                  ModelSpec(Family.VARIANT, 70, 1)):
+        monkeypatch.setattr(exact, "TABLE_BYTE_CAP", 0)
+        with pytest.raises(SpaceCapError) as info:
+            _kernel_table(model)
+        need = info.value.required
+        monkeypatch.setattr(exact, "TABLE_BYTE_CAP", need)
+        entries = _kernel_table(model)[0].size
+        # 24 bytes an entry, plus a Python int per cross entry past 62 balls
+        assert need == 24 * entries if model.n <= 62 else need > 24 * entries
+        monkeypatch.setattr(exact, "TABLE_BYTE_CAP", need - 1)
+        with pytest.raises(SpaceCapError) as info:
+            _kernel_table(model)
+        assert (info.value.required, info.value.cap) == (need, need - 1)
+
+
+class _Built(Exception):
+    pass
+
+
+def _no_ball_bits(n):
+    raise _Built
+
+
+@pytest.mark.parametrize(
+    "family, n, r, k, rational",
+    [("variant", 3000, 1, 1, False), ("variant", 10**4, 1, 1, True), ("independent", 11, 5, 2, False),
+     ("classical", 25, 8, 1, False)],
+)
+def test_table_byte_cap_stops_before_allocating(monkeypatch, family, n, r, k, rational):
+    """Tables the state caps let through, stopped before _ball_bits.
+
+    classical(25,8) is past FLOAT_STATE_CAP too, which is lifted here: the
+    byte cap alone stops it.
+    """
+    monkeypatch.setattr(exact, "_ball_bits", _no_ball_bits)
+    model = ModelSpec(Family(family), n, r)
+    monkeypatch.setattr(exact, "FLOAT_STATE_CAP", space_size(model))
+    with pytest.raises(SpaceCapError, match="kernel table") as info:
+        evolve(model, k, exact=rational)
+    assert info.value.cap == exact.TABLE_BYTE_CAP
+
+
+@pytest.mark.parametrize("family, n, r", [("independent", 10, 5), ("paired", 10, 5), ("paired", 9, 4)])
+def test_largest_signed_tables_pass_the_byte_cap(monkeypatch, family, n, r):
+    """independent(10,5) measured 810 MB peak for one float step; it and paired(10,5) still build."""
+    monkeypatch.setattr(exact, "_ball_bits", _no_ball_bits)
+    with pytest.raises(_Built):
+        evolve(ModelSpec(Family(family), n, r), 1)
+
+
 def test_checked_space_size_is_space_size_within_the_cap():
     for family in Family:
         for n in range(2, 30):

@@ -169,9 +169,10 @@ def test_small_blocks_start_no_thread(monkeypatch):
 @pytest.mark.parametrize(
     "family", [Family.CLASSICAL, Family.VARIANT, Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS]
 )
-def test_thread_count_does_not_change_results(family, tmp_path):
+@pytest.mark.parametrize("n, r", [(12, 5), (64, 32)])  # 64: one full mask word, bit 63 in play
+def test_thread_count_does_not_change_results(family, n, r, tmp_path):
     # 50,002 walkers in one block: three threads get 16,667, 16,667 and 16,668
-    cfg = SimConfig(ModelSpec(family, 12, 5), 6, 50_002, 20240817)
+    cfg = SimConfig(ModelSpec(family, n, r), 6, 50_002, 20240817)
     want_path = tmp_path / "t1.bin"
     want = run(cfg, states_path=str(want_path), threads=1)
     for threads in (2, 3, 4):
