@@ -7,6 +7,18 @@ engine here and the scalar WalkerStream consume draws in the same order
 (chains.draw_bounds lists the draws of one step per family), and therefore
 produce bit-identical trajectories.
 
+A draw is the splitmix64 finalizer (Steele, Lea & Flood 2014) of walker
+hash XOR counter hash, bounded by Lemire's product-shift: the top 32 bits
+times the bound, shifted down 32.  The vectorized engine makes the same
+bits in fewer passes.  The finalizer's first xorshift distributes over the
+XOR, so each walker keeps its hash pre-mixed, and a walk hashes and
+pre-mixes the counters of all its steps at once.  For a bound 2^m the
+product-shift keeps the top m bits of the hash, which the last xorshift
+leaves as they were (m <= 31), so where every bound a walk draws from is a
+power of two (coins; n = 2^j; classical r and n - r) each draw is one
+shift of the state before that xorshift.  Other walks take the full
+finalizer and the multiply.
+
 The vectorized engine keeps each block of walkers as uint64 mask words,
 ceil(n/64) per walker for the rack and as many for the charges, so a step
 is a few elementwise word operations for any n; at one word (n <= 64) it
@@ -69,7 +81,8 @@ BLOCK_WORD_CAP = 1 << 22
 # at the cap.
 WALKER_CAP = 1 << 26
 # Steps one run may take, the float evolution's exact.FLOAT_STEP_CAP.  At the
-# cap one n = 8 walker took 1.9-2.4 s (variant, signed) and 8.3 s (classical).
+# cap one n = 8 walker took 1.5-2.1 s (variant, signed) and 7.8-8.2 s
+# (classical) on a shared 2-vCPU host.
 STEP_CAP = 10**5
 
 _M64 = (1 << 64) - 1
@@ -93,7 +106,7 @@ def _mix_int(x: int) -> int:
 
 # numpy mirror of _mix_int; constants pre-wrapped so nothing upcasts
 _U = np.uint64
-_NC1, _NC2 = _U(_C1), _U(_C2)
+_NC1, _NC2, _NC3, _NC4 = _U(_C1), _U(_C2), _U(_C3), _U(_C4)
 _S30, _S27, _S31, _S32 = _U(30), _U(27), _U(31), _U(32)
 
 
@@ -175,17 +188,45 @@ class SimSummary:
     elapsed_s: float
 
 
-def _draws(wh: np.ndarray, t: int, bound: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Uniform draws at counters t, t+1, ... for every walker hash in wh, into out.
+def _premix(x):
+    """The finalizer's first xorshift, x ^ x >> 30, which distributes over XOR."""
+    return x ^ (x >> _S30)
 
-    Row i of out holds the draws at counter t + i, each from [0, bound[i]);
-    bound is a (rows, 1) uint64 column and out and tmp are (rows, len(wh))
-    uint64 arrays.  Nothing large is allocated, so the draws of every step
-    reuse the same memory.
+
+def _counters(k: int, slots: int, rows: int) -> np.ndarray:
+    """Pre-mixed counter hashes of the first rows draws of steps 0 .. k-1, as a (k, rows, 1) array.
+
+    Step s takes its draws at counters s * slots, s * slots + 1, ...
     """
-    counters = np.array([((t + i) * _C3 + _C4) & _M64 for i in range(len(out))], dtype=np.uint64)
-    np.bitwise_xor(wh, counters[:, None], out=out)
-    _mix_np(out, tmp)
+    t = np.arange(k, dtype=np.uint64)[:, None] * _U(slots) + np.arange(rows, dtype=np.uint64)
+    t *= _NC3
+    t += _NC4
+    return _premix(t)[:, :, None]
+
+
+def _draws(wm: np.ndarray, cm: np.ndarray, bound: np.ndarray, shift, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Uniform draws of every walker at one step's counters, into out.
+
+    wm holds the pre-mixed walker hashes and cm the step's (rows, 1) column
+    of pre-mixed counter hashes.  Row i of out holds draws from
+    [0, bound[i]); bound is a (rows, 1) uint64 column and out and tmp are
+    (rows, len(wm)) uint64 arrays.  Where every bound is a power of two 2^m,
+    shift is the (rows, 1) column of 64 - m, and each draw is the top m bits
+    of the state before the last xorshift (see the module docstring); for
+    m = 0 that is a shift of 64, which numpy takes to 0.  With shift None
+    every row takes the full finalizer and the multiply.  Nothing large is
+    allocated, so the draws of every step reuse the same memory.
+    """
+    np.bitwise_xor(wm, cm, out=out)
+    out *= _NC1
+    np.right_shift(out, _S27, out=tmp)
+    out ^= tmp
+    out *= _NC2
+    if shift is not None:
+        out >>= shift
+        return out
+    np.right_shift(out, _S31, out=tmp)
+    out ^= tmp
     out >>= _S32
     out *= bound
     out >>= _S32
@@ -285,14 +326,21 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
     n, r, family = model.n, model.r, model.family
     width, nb = -(-n // 64), hi - lo
     tmp = np.empty(nb, dtype=np.uint64)
-    wh = _mix_np(_U(_seed_hash(seed)) ^ (np.arange(lo, hi, dtype=np.uint64) * _NC1 + _NC2), tmp)
+    wm = _premix(_mix_np(_U(_seed_hash(seed)) ^ (np.arange(lo, hi, dtype=np.uint64) * _NC1 + _NC2), tmp))
     rack = np.repeat(_words((1 << r) - 1, width), nb, axis=1)
     signs = np.zeros_like(rack) if family.signed and charges else None
     balls = _words((1 << n) - 1, width)
-    bound = np.array(draw_bounds(model), dtype=np.uint64)[:, None]
-    slots = len(bound)
+    bounds = draw_bounds(model)
+    slots = len(bounds)
     # only the two rack draws when nothing reads the charges
     rows = slots if signs is not None else 2
+    bounds = bounds[:rows]
+    bound = np.array(bounds, dtype=np.uint64)[:, None]
+    # bounds 2^m all: each draw is one shift by 64 - m (see _draws)
+    shift = None
+    if all(b & (b - 1) == 0 for b in bounds):
+        shift = np.array([65 - b.bit_length() for b in bounds], dtype=np.uint64)[:, None]
+    cm = _counters(k, slots, rows)
     # per-step scratch, reused so the loop does not allocate
     draw, dtmp = np.empty((2, rows, nb), dtype=np.uint64)
     cross, spare = np.empty((2, width, nb), dtype=np.uint64)
@@ -310,7 +358,7 @@ def _walk(model: ModelSpec, k: int, seed: int, lo: int, hi: int, charges: bool =
         flip = np.empty(nb, dtype=np.uint64) if wide else cross[0]
 
     for step_no in range(k):
-        _draws(wh, step_no * slots, bound[:rows], draw, dtmp)
+        _draws(wm, cm[step_no], bound, shift, draw, dtmp)
         b1, b2 = s1, s2 = draw[0], draw[1]
         if classical:
             s1 = _select(rack, b1, picks[0])
@@ -455,6 +503,7 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16, threads=
     signed = model.family.signed
     if states_path is not None and n > 64:
         raise ValueError("state streaming packs masks into 64 bits, needs n <= 64")
+    block_size = as_int(block_size, "block_size")
     if block_size < 1:
         raise ValueError(f"need block_size >= 1, got {block_size}")
     # equal blocks, so that no short last block is left too small to split

@@ -106,8 +106,9 @@ SPECTRAL_MEASURE_GRID = [
     ModelSpec(Family.PAIRED_FLIPS, 13, 5),
 ]
 
-# one and three mask words per walker
-REPLAY_GRID = [ModelSpec(family, n, r) for family in Family for n, r in ((9, 4), (130, 61))]
+# one and three mask words per walker; at (64, 32) every bound is a power of
+# two, so every family draws by shift there and by multiply at the others
+REPLAY_GRID = [ModelSpec(family, n, r) for family in Family for n, r in ((9, 4), (64, 32), (130, 61))]
 
 SPECTRUM_GRID = [
     ModelSpec(Family.CLASSICAL, 4, 2),
@@ -325,7 +326,7 @@ def montecarlo_replay() -> str:
             raise CheckFailed(bad)
     return (
         f"walkers 5-7 equal scalar replay for k={k} on {len(REPLAY_GRID)} models "
-        "(one and three mask words)"
+        "(one and three mask words, draws by multiply and by shift)"
     )
 
 

@@ -286,11 +286,19 @@ def test_run_caps_walkers_and_steps_before_it_allocates(monkeypatch, tmp_path):
     run(SimConfig(model, 5, 3, 0))
 
 
-@pytest.mark.parametrize("block_size", [0, -1])
-def test_run_rejects_empty_blocks(block_size):
+@pytest.mark.parametrize("block_size", [0, -1, 2.5, True, "7"])
+def test_run_rejects_empty_blocks(block_size, monkeypatch, tmp_path):
+    """A block size that is not an integer >= 1 fails before any walk or states file."""
     cfg = SimConfig(ModelSpec(Family.VARIANT, 10, 5), 3, 1000, 1)
+
+    def walk(*args):
+        raise AssertionError("walk started before the block size check")
+
+    monkeypatch.setattr(montecarlo, "_walk", walk)
+    states = tmp_path / "states.bin"
     with pytest.raises(ValueError, match="block_size"):
-        run(cfg, block_size=block_size)
+        run(cfg, states_path=states, block_size=block_size)
+    assert not states.exists()
 
 
 def test_k0_mean_is_exactly_one():
@@ -422,6 +430,23 @@ def test_numpy_shift_of_64_or_more_gives_zero():
     assert not (x >> wrapped).any()
 
 
+@pytest.mark.parametrize("m", range(32))
+def test_power_of_two_draw_is_one_shift(m):
+    """For a bound 2^m, ((y >> 32) * 2^m) >> 32 with y = x ^ x >> 31 is x >> (64 - m)."""
+    u = np.uint64
+    edges = [0, (1 << 64) - 1, 1 << 63, 1 << 32, (1 << 63) | (1 << 32)]
+    rng = np.random.default_rng(m)
+    x = np.concatenate([np.array(edges, dtype=u), rng.integers(0, 1 << 64, 2000, dtype=u)])
+    y = x ^ (x >> u(31))
+    assert np.array_equal(x >> u(64 - m), ((y >> u(32)) * u(1 << m)) >> u(32))
+    # the engine's shift path equals its full finalizer and multiply
+    cm = np.array([[edges[m % 5]]], dtype=u)
+    out, tmp = np.empty((2, 1, len(x)), dtype=u)
+    bound = np.array([[1 << m]], dtype=u)
+    by_shift = montecarlo._draws(x, cm, bound, np.array([[64 - m]], dtype=u), out, tmp).copy()
+    assert np.array_equal(by_shift, montecarlo._draws(x, cm, bound, None, out, tmp))
+
+
 def test_byte_select_table_matches_nth_bit():
     """_SEL[256 i + b] is the i-th set bit of byte b, for every rank b has."""
     got = [[int(montecarlo._SEL[256 * i + b]) for i in range(b.bit_count())] for b in range(256)]
@@ -475,6 +500,11 @@ def models(draw):
 @example(ModelSpec(Family.CLASSICAL, 128, 64), 30, 0, 5)
 @example(ModelSpec(Family.VARIANT, 129, 1), 30, 11, 5)
 @example(ModelSpec(Family.CLASSICAL, 1000, 500), 30, 4, 5)
+@example(ModelSpec(Family.CLASSICAL, 2, 1), 30, 1, 5)
+@example(ModelSpec(Family.CLASSICAL, 33, 1), 30, 6, 5)
+@example(ModelSpec(Family.CLASSICAL, 40, 8), 30, 9, 5)
+@example(ModelSpec(Family.INDEPENDENT_FLIPS, 128, 64), 30, 8, 5)
+@example(ModelSpec(Family.PAIRED_FLIPS, 48, 24), 30, 10, 5)
 def test_packed_walk_matches_scalar_replay(model, k, lo, block):
     """Every walker of a block, at any n, equals its chains.step replay."""
     assert montecarlo_replay_mismatch(model, k, seed=lo ^ 0x5EED, lo=lo, hi=lo + block) is None
