@@ -5,14 +5,17 @@ above the colexicographic subset rank, signs = 0 when unsigned.  Every
 exact path reads one integer kernel table, built with numpy: a fixed set of
 move columns, with each source index's target in every column and one
 integer weight per column in units of 1/step_units(model).  Float and
-rational evolution share one stepping loop over it.  A float law is a
-float64 array, scattered with bincount, and is deterministic for a fixed
-model (no parallel reductions): bincount adds each target's contributions
-in source-row order, so the order of the columns changes no bit.  A
-rational law is an object array of Python-int numerators over the common
-denominator step_units(model)^k, scattered with np.add.at, so results are
-exact and bitwise reproducible; a Fraction is built once per answer, never
-per state.  The dense kernel behind spectrum and the trace check is filled
+rational evolution share one stepping statement over it, a gather: the
+kernel is symmetric, so each state's own row, sorted by source, lists the
+states that step into it, and a step takes their products with the
+distinct weights and sums them over the columns.  A float law is a float64
+array and is deterministic for a fixed model (no parallel reductions): the
+sum adds each state's contributions in ascending source order, as a
+bincount scatter over the table does, so the order of the columns changes
+no bit.  A rational law is an object array of Python-int numerators over
+the common denominator step_units(model)^k, so results are exact and
+bitwise reproducible; a Fraction is built once per answer, never per
+state.  The dense kernel behind spectrum and the trace check is filled
 from the table in one assignment.
 """
 
@@ -65,6 +68,8 @@ RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
 # estimated bytes (_table_bytes) that one kernel table and its float evolution may hold
 TABLE_BYTE_CAP = 1 << 30
+# table entries decoded into the gather index at a time
+_DECODE_ENTRIES = 1 << 14
 
 
 def state_index(model: ModelSpec, state: UrnState) -> int:
@@ -146,10 +151,13 @@ def _subsets(bits: np.ndarray, r: int):
 def _table_bytes(model: ModelSpec, width: int) -> int:
     """Estimated peak bytes of a kernel table with width columns and a float step over it.
 
-    Each entry holds an intp target, a float64 weight and its share of a
-    step's temporary: 24 bytes.  Past 62 balls the masks are Python ints,
-    and each cross entry also builds one while the table is formed: a rack
-    mask with two balls swapped, of up to n bits, and the pointer to it.
+    Evolution holds 16 bytes per entry at most: the intp table, then the
+    gather index decoded from it and a step's gathered products.  The
+    estimate counts 24 bytes per entry, half as much again, which leaves
+    room for the allocator and the state-length arrays.  Past 62 balls the
+    masks are Python ints, and each cross entry also builds one while the
+    table is formed: a rack mask with two balls swapped, of up to n bits,
+    and the pointer to it.
     """
     n, r = model.n, model.r
     size = 24 * space_size(model) * width
@@ -164,8 +172,8 @@ def _kernel_table(model: ModelSpec):
     Every step falls into a move class that reaches one distinct state and
     has the same number of draw outcomes from every source, so every row
     has the same columns.  targets[s, c] is where column c leads from source
-    index s, an intp array of shape (states, columns) that bincount takes
-    without a cast; units[c] is the column's int64 weight in units of
+    index s, an intp array of shape (states, columns) that evolution sorts
+    and decodes in place; units[c] is the column's int64 weight in units of
     1/step_units(model).  A column names balls by their place on their rack.
     With r(n-r) cross pairs (a rack-1 ball and a rack-2 ball) and S =
     C(r,2) + C(n-r,2) same-rack pairs, the columns and their units are:
@@ -239,6 +247,39 @@ def _kernel_table(model: ModelSpec):
     return targets, np.array(units, dtype=np.int64)
 
 
+def _gather_index(model: ModelSpec, targets: np.ndarray, wid: np.ndarray) -> np.ndarray:
+    """Each state's kernel row as a (columns, states) gather index.
+
+    The kernel is symmetric, so row t of the table, read as sources, holds
+    every state that steps into t, with the same weight.  Each row is
+    sorted in place by source, with the column's weight class wid in the
+    low bits, and decoded block by block into wid * states + source: the
+    place of weight * probs[source] in the flattened outer product of the
+    distinct weights with the law.  Row j of the index holds each state's
+    j-th smallest source, so a sum over axis 0 adds a state's contributions
+    in ascending source order, as bincount over the table does.  That needs
+    each source once per row, checked here (RuntimeError otherwise).  The
+    index and the table together take 16 bytes per entry.
+    """
+    n_states, width = targets.shape
+    shift = int(wid.max()).bit_length()
+    targets <<= shift
+    targets |= wid
+    targets.sort(axis=1)
+    index = np.empty((width, n_states), dtype=np.intp)
+    rows = max(1, _DECODE_ENTRIES // width)
+    for lo in range(0, n_states, rows):
+        block = targets[lo : lo + rows]
+        sources = block >> shift
+        if not (sources[:, 1:] > sources[:, :-1]).all():
+            raise RuntimeError(f"{_label(model)}: a kernel table row repeats a target")
+        block &= (1 << shift) - 1
+        block *= n_states
+        block += sources
+        index[:, lo : lo + rows] = block.T
+    return index
+
+
 def evolve(model: ModelSpec, k: int, exact: bool = False) -> Distribution:
     """Law of the chain after k steps from the deterministic initial state."""
     for _, dist in evolve_sequence(model, [k], exact=exact):
@@ -263,38 +304,28 @@ def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
         raise SpaceCapError(ks[-1], step_cap, f"{kind} step count")
 
     targets, units = _kernel_table(model)
-    width = len(units)
-    targets = targets.ravel()
+    values, wid = np.unique(units, return_inverse=True)
+    index = _gather_index(model, targets, wid)
+    del targets  # freed before the first step, which allocates as much again
     step = step_units(model)
     start = state_index(model, initial_state(model))
 
-    if exact:
-        # Python-int weights in units of 1/step: each step multiplies the
-        # common denominator by step and the numerators stay integers.
-        weights = np.tile(units.astype(object), n_states)
-        probs = np.zeros(n_states, dtype=object)
-        probs[start] = 1
-        den = 1
-    else:
-        weights = np.tile(units / step, n_states)
-        probs = np.zeros(n_states)
-        probs[start] = 1.0
-        den = None
+    # law[0] is the law between steps.  A step writes its product with each
+    # distinct weight into the rows of law (numpy copies law[0] first, as
+    # the operands overlap), gathers every state's sources from them and
+    # sums the gather back into law[0].  An exact law has Python-int weights
+    # in units of 1/step, so each step multiplies the denominator by step.
+    weights, den = (values.astype(object), 1) if exact else (values / step, None)
+    law = np.zeros((len(weights), n_states), dtype=weights.dtype)
+    law[0, start] = 1
     step_no = 0
     for k in ks:
         while step_no < k:
-            # one table-length temporary, freed before the next step makes its own
-            contrib = np.repeat(probs, width)
-            contrib *= weights
+            np.take(np.multiply.outer(weights, law[0], out=law).ravel(), index).sum(axis=0, out=law[0])
             if exact:
-                probs = np.zeros(n_states, dtype=object)
-                np.add.at(probs, targets, contrib)
                 den *= step
-            else:
-                probs = np.bincount(targets, weights=contrib, minlength=n_states)
-            del contrib
             step_no += 1
-        yield k, Distribution(model, probs.copy(), den)
+        yield k, Distribution(model, law[0].copy(), den)
 
 
 @dataclass(frozen=True)

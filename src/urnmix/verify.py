@@ -5,12 +5,12 @@ its grid sizes and step counts are constants in its body.  `urnmix verify`
 calls every check of QUICK or FULL in order, prints each result's line()
 and turns a failure into exit code 1, and tests/test_acceptance.py asserts
 the same checks one release criterion at a time.  QUICK holds the
-structural checks; FULL adds the numerical audit: exact spectra against
-the catalog, the Plancherel identity in rational arithmetic, moment
-formulas against exact evolution, signed-to-unsigned marginals, Monte Carlo
-consistency, determinism of the simulators and the cutoff window at
-n = 200.  Every grid, tolerance and rational curve of those criteria is
-defined here.
+structural checks; FULL adds the numerical audit: exact evolution against
+a scatter over the kernel table, exact spectra against the catalog, the
+Plancherel identity in rational arithmetic, moment formulas against exact
+evolution, signed-to-unsigned marginals, Monte Carlo consistency,
+determinism of the simulators and the cutoff window at n = 200.  Every
+grid, tolerance and rational curve of those criteria is defined here.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "FULL",
     "reference_catalog",
     "kernel_table_mismatch",
+    "evolution_mismatch",
     "spectral_measure_mismatch",
     "montecarlo_replay_mismatch",
     "SPECTRUM_GRID",
@@ -217,6 +218,59 @@ def kernel_rows() -> str:
     return (
         "kernel_row rows sum to 1 exactly, kernels symmetric; "
         f"kernel table equals kernel_row on {len(KERNEL_ROW_GRID)} models"
+    )
+
+
+def evolution_mismatch(model: ModelSpec, ks) -> str | None:
+    """Compare evolve_sequence with a scatter over the kernel table, in both modes.
+
+    The scatter repeats the law over the table rows, multiplies by the
+    column weights tiled to the table's length and adds each product into
+    its target: np.bincount for a float law, np.add.at into Python ints for
+    an exact one.  bincount adds each target's contributions in source
+    order, as the gather step does, so float laws must agree to the byte;
+    exact laws must have equal numerators and den.
+    """
+    targets, units = exact._kernel_table(model)
+    n_states, width = targets.shape
+    targets = targets.ravel()
+    step = chains.step_units(model)
+    start = exact.state_index(model, chains.initial_state(model))
+    for rational in (False, True):
+        weights = np.tile(units.astype(object) if rational else units / step, n_states)
+        probs = np.zeros(n_states, dtype=weights.dtype)
+        probs[start] = 1
+        den, step_no = (1 if rational else None), 0
+        for k, dist in exact.evolve_sequence(model, ks, exact=rational):
+            while step_no < k:
+                contrib = np.repeat(probs, width) * weights
+                if rational:
+                    probs = np.zeros(n_states, dtype=object)
+                    np.add.at(probs, targets, contrib)
+                    den *= step
+                else:
+                    probs = np.bincount(targets, weights=contrib, minlength=n_states)
+                step_no += 1
+            if rational:
+                same = np.array_equal(dist.probs, probs)
+            else:
+                same = dist.probs.dtype == probs.dtype and dist.probs.tobytes() == probs.tobytes()
+            if not same or dist.den != den:
+                mode = "rational" if rational else "float"
+                return f"{_label(model)}: {mode} law at k={k} differs from the scatter over the kernel table"
+    return None
+
+
+@_check("evolution-scatter")
+def evolution_scatter() -> str:
+    """The gather step of evolve_sequence equals a scatter over the table, step by step."""
+    for model in KERNEL_ROW_GRID:
+        bad = evolution_mismatch(model, range(21))
+        if bad:
+            raise CheckFailed(bad)
+    return (
+        "float laws equal to the byte, rational numerators and den equal, to a scatter "
+        f"over the kernel table at k = 0..20 on {len(KERNEL_ROW_GRID)} models"
     )
 
 
@@ -539,6 +593,7 @@ QUICK = (
 )
 
 FULL = QUICK + (
+    evolution_scatter,
     spectrum_match_grid,
     plancherel,
     moment_identities,

@@ -34,7 +34,7 @@ from urnmix.exact import (
     _kernel_table,
 )
 from urnmix.models import Family, ModelSpec, checked_space_size, step_count
-from urnmix.verify import kernel_table_mismatch
+from urnmix.verify import evolution_mismatch, kernel_table_mismatch
 
 
 def _law(dist):
@@ -575,10 +575,11 @@ def test_signed_rows_at_far_charge_words(family):
     _assert_rows_match_kernel_row(model, _kernel_table(model), sources)
 
 
-# sha256 of evolve(model, k).probs.tobytes(), recorded while the kernel table
-# still sorted its rows.  bincount adds each target's contributions in
-# source-row order, and a row reaches each target once, so no layout of the
-# columns inside a row changes a float bit.
+# sha256 of evolve(model, k).probs.tobytes(), recorded when a step scattered
+# the law over the table with bincount and the table still sorted its rows.
+# The gather step sums each state's contributions in ascending source order,
+# which is bincount's order, and a row reaches each target once, so neither
+# the form of the step nor the layout of the columns in a row changes a bit.
 FLOAT_LAW_DIGESTS = {
     ("classical", 8, 4, 1): "70b762e46a3b99a625ba576ce3175d2db498cd3d6069f4d5ec214af0c17860c3",
     ("classical", 8, 4, 7): "f1d8bb03734fe3d74ac77559010761f7633074fb059ec75fb1895bf10a79e857",
@@ -624,17 +625,20 @@ def test_subset_marginal_paired_7_3():
 
 
 def test_float_evolution_holds_16_bytes_per_entry():
-    """The first next() holds no third table-length array.
+    """Neither the build nor a step holds a third table-length array.
 
-    At k = 0 it builds the table and the float weights and yields the point
-    mass: targets and weights take 16 bytes per kernel entry, plus
-    state-length arrays.
+    The first next(), at k = 0, builds the table and decodes it into the
+    gather index and yields the point mass: table and index take 16 bytes
+    per kernel entry, plus state-length arrays.  The second takes one step,
+    which holds the index and the gathered products.
     """
     model = ModelSpec(Family.PAIRED_FLIPS, 8, 4)
     gc.collect()
     tracemalloc.start()
     try:
-        next(evolve_sequence(model, [0, 1]))
+        laws = evolve_sequence(model, [0, 1])
+        next(laws)
+        next(laws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -657,3 +661,23 @@ def test_spectrum_rejects_asymmetric_kernel(monkeypatch):
     monkeypatch.setattr(exact, "_kernel_table", lambda m: (targets, units))
     with pytest.raises(RuntimeError, match="asymmetry"):
         spectrum(model)
+
+
+def test_evolution_rejects_a_row_that_repeats_a_target(monkeypatch):
+    """The gather needs each source once per row; a repeat raises, not a wrong law."""
+    model = ModelSpec(Family.CLASSICAL, 4, 2)
+    targets, units = _kernel_table(model)
+    targets[3, 1] = targets[3, 0]
+    monkeypatch.setattr(exact, "_kernel_table", lambda m: (targets.copy(), units))
+    with pytest.raises(RuntimeError, match="repeats a target"):
+        evolve(model, 1)
+
+
+@pytest.mark.parametrize(
+    "family, n, r",
+    [("classical", 8, 4), ("classical", 12, 6), ("variant", 8, 4), ("variant", 14, 7),
+     ("independent", 4, 2), ("independent", 6, 3), ("paired", 4, 2), ("paired", 6, 3)],
+)
+def test_evolution_equals_scatter_over_the_table(family, n, r):
+    """Float laws to the byte and rational laws exactly, against bincount and np.add.at."""
+    assert evolution_mismatch(ModelSpec(Family(family), n, r), (0, 1, 2, 7, 40)) is None
