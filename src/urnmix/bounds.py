@@ -433,9 +433,12 @@ def spherical_s1(n: int, r: int, state) -> Fraction:
     j counts the rack-1 balls with labels above r, i.e. the balls that have
     strayed from the initial arrangement.  For signed states the charge word
     is ignored (the value lives on the rack marginal).  Equals 1 exactly at
-    the initial state and averages to 0 under the uniform law.
+    the initial state and averages to 0 under the uniform law.  ValueError
+    unless the rack holds r of the n balls.
     """
     ModelSpec(Family.VARIANT, n, r)
+    if state.rack1 >> n or state.rack1.bit_count() != r:
+        raise ValueError(f"rack {state.rack1:#b} is not {r} of {n} balls")
     j = (state.rack1 >> r).bit_count()
     return 1 - Fraction(j * n, r * (n - r))
 

@@ -183,36 +183,23 @@ def cmd_exact(args) -> int:
     ks = [args.k] if args.k is not None else _parse_int_grid(args.k_grid)
     from . import bounds, exact
 
-    if not args.rational:
-        curve = {p.k: p.l2n_sq for p in bounds.bound_curve(model, ks)}
+    # distances first: evolution checks its caps before the bounds build a spectral measure
+    points = []
+    for k, last_dist in exact.evolve_sequence(model, ks, exact=args.rational):
+        points.append((k, exact.tv_distance(last_dist), exact.l2n_sq_distance(last_dist)))
+    if args.rational:
+        bounds_at = [bounds.l2n_sq_bound(model, k, exact=True) for k, _, _ in points]
+    else:
+        bounds_at = [p.l2n_sq for p in bounds.bound_curve(model, [k for k, _, _ in points])]
     lines = ["k,tv_exact,l2n_sq_exact,tv_upper,plancherel_rel_err"]
-    last_dist = None
-    for k, dist in exact.evolve_sequence(model, ks, exact=args.rational):
-        tv = exact.tv_distance(dist)
-        l2 = exact.l2n_sq_distance(dist)
-        if args.rational:
-            bound = bounds.l2n_sq_bound(model, k, exact=True)
-        else:
-            bound = curve[k]
-        if bound == 0:
-            rel = 0.0 if l2 == 0 else math.inf
-        else:
-            rel = abs(float(l2 - bound)) / float(bound)
-        lines.append(
-            f"{k},{_fmt(tv)},{_fmt(l2)},{_fmt(math.sqrt(float(bound)))},{_fmt(rel)}"
-        )
-        last_dist = dist
+    for (k, tv, l2), bound in zip(points, bounds_at):
+        rel = abs(float(l2 - bound)) / float(bound) if bound else (0.0 if l2 == 0 else math.inf)
+        lines.append(f"{k},{_fmt(tv)},{_fmt(l2)},{_fmt(math.sqrt(float(bound)))},{_fmt(rel)}")
     if args.dump_dist:
         with open(args.dump_dist, "w") as fh:
             fh.write(exact.distribution_csv(last_dist))
-    _emit(
-        args,
-        "exact",
-        "\n".join(lines) + "\n",
-        model=model,
-        parameters={"k_grid": ks, "rational": bool(args.rational)},
-        t0=t0,
-    )
+    params = {"k_grid": ks, "rational": bool(args.rational)}
+    _emit(args, "exact", "\n".join(lines) + "\n", model=model, parameters=params, t0=t0)
     return EXIT_OK
 
 

@@ -16,7 +16,8 @@ no bit.  A rational law is an object array of Python-int numerators over
 the common denominator step_units(model)^k, so results are exact and
 bitwise reproducible; a Fraction is built once per answer, never per
 state.  The dense kernel behind spectrum and the trace check is filled
-from the table in one assignment.
+from the table in one assignment.  Float evolution is bounded by the
+table's estimated bytes alone, rational evolution also by its state count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .bounds import spectral_measure
 from .chains import UrnState, initial_state, step_units, subset_rank, subset_unrank
-from .models import Family, ModelSpec, SpaceCapError, checked_space_size, space_size, step_count
+from .models import STEP_CAP, Family, ModelSpec, SpaceCapError, as_int, checked_space_size, space_size, step_count
 
 __all__ = [
     "SpaceCapError",
@@ -55,14 +56,10 @@ __all__ = [
     "distribution_csv",
     "DENSE_CAP",
     "TABLE_BYTE_CAP",
-    "FLOAT_STATE_CAP",
-    "FLOAT_STEP_CAP",
     "RATIONAL_STATE_CAP",
     "RATIONAL_STEP_CAP",
 ]
 
-FLOAT_STATE_CAP = 10**6
-FLOAT_STEP_CAP = 10**5
 RATIONAL_STATE_CAP = 10**4
 RATIONAL_STEP_CAP = 50
 DENSE_CAP = 4096
@@ -78,8 +75,8 @@ def state_index(model: ModelSpec, state: UrnState) -> int:
 
 
 def state_at(model: ModelSpec, index: int) -> UrnState:
-    """Inverse of state_index."""
-    signs, rank = divmod(index, comb(model.n, model.r))
+    """Inverse of state_index; index may be any integer type, the state holds Python ints."""
+    signs, rank = divmod(as_int(index, "state index"), comb(model.n, model.r))
     if signs >> model.charge_bits:
         raise ValueError(f"index {index} out of range")
     return UrnState(subset_unrank(model.n, model.r, rank), signs)
@@ -195,24 +192,34 @@ def _kernel_table(model: ModelSpec):
     the sampler counted over all its draws, is the oracle this table equals
     row for row, as sets of (target, units) pairs.
 
-    The callers bound the state count; the table's size is bounded here, by
-    _table_bytes against TABLE_BYTE_CAP, before anything is allocated.
+    Float evolution's only size gate is here, before anything is allocated:
+    the state count, walked against TABLE_BYTE_CAP // (24 * columns), then
+    _table_bytes against TABLE_BYTE_CAP.  SpaceCapError gives that estimate,
+    or a lower bound (at_least) when the walk stopped early.
     """
     n, r, family = model.n, model.r, model.family
     swaps, same = r * (n - r), comb(r, 2) + comb(n - r, 2)
+    # (units, count) runs in column order
     if family is Family.CLASSICAL:
-        units = [1] * swaps
+        columns = [(1, swaps)]
     elif family is Family.VARIANT:
-        units = [n * n - 2 * swaps] + [2] * swaps
+        columns = [(n * n - 2 * swaps, 1), (2, swaps)]
     elif family is Family.INDEPENDENT_FLIPS:
-        units = [2 * n + 2 * same] + [2 * r] * r + [2 * (n - r)] * (n - r) + [2] * (same + 4 * swaps)
+        columns = [(2 * n + 2 * same, 1), (2 * r, r), (2 * (n - r), n - r), (2, same + 4 * swaps)]
     else:
-        units = [n + 2 * same] + [1] * n + [2] * (same + 2 * swaps)
-    if sum(units) != step_units(model):
-        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
-    table_bytes = _table_bytes(model, len(units))
+        columns = [(n + 2 * same, 1), (1, n), (2, same + 2 * swaps)]
+    width, what = sum(count for _, count in columns), "kernel table size in bytes"
+    try:
+        checked_space_size(model, TABLE_BYTE_CAP // (24 * width), what)
+    except SpaceCapError as err:
+        if err.at_least:  # an exact count falls through to the full estimate
+            raise SpaceCapError(24 * width * err.required, TABLE_BYTE_CAP, what, at_least=True) from None
+    table_bytes = _table_bytes(model, width)
     if table_bytes > TABLE_BYTE_CAP:
-        raise SpaceCapError(table_bytes, TABLE_BYTE_CAP, "kernel table size in bytes")
+        raise SpaceCapError(table_bytes, TABLE_BYTE_CAP, what)
+    if sum(u * c for u, c in columns) != step_units(model):
+        raise RuntimeError(f"{_label(model)}: kernel table rows do not sum to step_units")
+    units = np.repeat(*np.array(columns, dtype=np.int64).T)
 
     bits = _ball_bits(n)
     masks, inside = _subsets(bits, r)
@@ -243,8 +250,8 @@ def _kernel_table(model: ModelSpec):
         targets = np.bitwise_xor(np.arange(1 << n)[:, None, None], flips, dtype=np.intp)
         targets *= base
         targets += ranks
-        targets = targets.reshape(-1, len(units))
-    return targets, np.array(units, dtype=np.int64)
+        targets = targets.reshape(-1, width)
+    return targets, units
 
 
 def _gather_index(model: ModelSpec, targets: np.ndarray, wid: np.ndarray) -> np.ndarray:
@@ -290,20 +297,21 @@ def evolve(model: ModelSpec, k: int, exact: bool = False) -> Distribution:
 def evolve_sequence(model: ModelSpec, ks, exact: bool = False):
     """Step once per unit k, yielding a Distribution at each requested k.
 
-    The yielded distributions are fresh copies and safe to keep.
+    The yielded distributions are fresh copies and safe to keep.  Every cap
+    is checked before anything is allocated: RATIONAL_STATE_CAP and
+    RATIONAL_STEP_CAP, or STEP_CAP, then the kernel table's byte cap.
     """
     ks = sorted({step_count(k) for k in ks})
     if not ks:
         raise ValueError(f"bad step grid {ks}")
-    state_cap, step_cap, kind = (
-        (RATIONAL_STATE_CAP, RATIONAL_STEP_CAP, "rational evolution") if exact
-        else (FLOAT_STATE_CAP, FLOAT_STEP_CAP, "evolution")
-    )
-    n_states = checked_space_size(model, state_cap, f"{kind} state count")
+    if exact:
+        checked_space_size(model, RATIONAL_STATE_CAP, "rational evolution state count")
+    step_cap, kind = (RATIONAL_STEP_CAP, "rational evolution") if exact else (STEP_CAP, "evolution")
     if ks[-1] > step_cap:
         raise SpaceCapError(ks[-1], step_cap, f"{kind} step count")
 
     targets, units = _kernel_table(model)
+    n_states = len(targets)
     values, wid = np.unique(units, return_inverse=True)
     index = _gather_index(model, targets, wid)
     del targets  # freed before the first step, which allocates as much again

@@ -113,6 +113,11 @@ def step_count(k) -> int:
     return k
 
 
+# Steps that float evolution or one Monte Carlo run may take; a float law that
+# far out is uniform to rounding.  At the cap one n = 8 Monte Carlo walker took
+# 1.5-2.1 s (variant, signed) and 7.8-8.2 s (classical) on a shared 2-vCPU host.
+STEP_CAP = 10**5
+
 # the most threads any computation may start
 MAX_THREADS = 64
 

@@ -49,7 +49,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .chains import draw_bounds
-from .models import Family, ModelSpec, SpaceCapError, as_int, checked_space_size, step_count, thread_count
+from .models import STEP_CAP, Family, ModelSpec, SpaceCapError, as_int, checked_space_size, step_count, thread_count
 
 __all__ = [
     "SimConfig",
@@ -61,7 +61,6 @@ __all__ = [
     "TV_WALKER_FACTOR",
     "BLOCK_WORD_CAP",
     "WALKER_CAP",
-    "STEP_CAP",
 ]
 
 STREAM_MAGIC = b"URNMC01\x00"
@@ -80,10 +79,6 @@ BLOCK_WORD_CAP = 1 << 22
 # Walkers one run may have: the run keeps 8 bytes of s1 per walker, 512 MB
 # at the cap.
 WALKER_CAP = 1 << 26
-# Steps one run may take, the float evolution's exact.FLOAT_STEP_CAP.  At the
-# cap one n = 8 walker took 1.5-2.1 s (variant, signed) and 7.8-8.2 s
-# (classical) on a shared 2-vCPU host.
-STEP_CAP = 10**5
 
 _M64 = (1 << 64) - 1
 _C0 = 0x9E3779B97F4A7C15
@@ -140,6 +135,7 @@ class WalkerStream:
     """
 
     def __init__(self, seed: int, walker: int):
+        seed, walker = as_int(seed, "seed"), as_int(walker, "walker")  # numpy ints overflow the hash
         if walker < 0:
             raise ValueError(f"need walker >= 0, got {walker}")
         self._wh = _walker_hash_int(seed, walker)
@@ -489,7 +485,7 @@ def run(config: SimConfig, states_path=None, block_size: int = 1 << 16, threads=
     (see _walk_block); threads None means the CPUs this process may use.
     No more than one block is in flight, whatever the thread count.  The
     summary and the states file depend on neither block_size nor threads.
-    More than WALKER_CAP walkers or STEP_CAP steps raise SpaceCapError
+    More than WALKER_CAP walkers or models.STEP_CAP steps raise SpaceCapError
     before anything is allocated or written.
     """
     t0 = time.perf_counter()

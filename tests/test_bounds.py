@@ -95,6 +95,13 @@ def test_spherical_s1_examples():
     assert spherical_s1(4, 2, initial_state(ModelSpec(Family.VARIANT, 4, 2))) == 1
     assert spherical_s1(3, 1, UrnState(0b010)) == Fraction(-1, 2)
     assert spherical_s1(2, 1, UrnState(0b10)) == -1
+    assert spherical_s1(4, 2, UrnState(0b0101, signs=0b1111)) == 0  # the charge word is ignored
+
+
+@pytest.mark.parametrize("rack1", [0b110000, 0b111, 0b1, 0, 0b10010, -1])
+def test_spherical_s1_refuses_a_rack_that_is_not_r_of_n_balls(rack1):
+    with pytest.raises(ValueError, match="rack"):
+        spherical_s1(4, 2, UrnState(rack1))
 
 
 @pytest.mark.parametrize("n", range(2, 7))

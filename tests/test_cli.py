@@ -391,6 +391,8 @@ EDGE_ARGVS = [
     (["exact", "--family", "variant", "--n", "3000", "--r", "1", "--k", "1"], 3),
     (["exact", "--family", "variant", "--n", "10000", "--r", "1", "--k", "1", "--rational"], 3),
     (["exact", "--family", "independent", "--n", "11", "--r", "5", "--k", "2"], 3),
+    (["exact", "--family", "paired", "--n", "70", "--r", "3", "--k", "1"], 3),
+    (["exact", "--family", "paired", "--n", "400", "--r", "200", "--k", "1"], 3),
 ]
 
 
@@ -403,6 +405,16 @@ def test_edge_inputs_exit_cleanly(argv, want):
     )
     assert done.returncode == want, done.stderr
     assert done.stdout == "" and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("family, n, r", [("paired", 400, 200), ("independent", 1000, 500), ("paired", 70, 3)])
+def test_exact_refusal_builds_no_spectral_measure(capsys, monkeypatch, family, n, r):
+    def no_measure(model):
+        raise AssertionError("spectral measure built before evolution checked its caps")
+
+    monkeypatch.setattr(bounds, "spectral_measure", no_measure)
+    code, out, err = run_cli(capsys, "exact", "--family", family, "--n", str(n), "--r", str(r), "--k", "1")
+    assert (code, out) == (3, "") and "kernel table size in bytes" in err
 
 
 def test_grids_are_capped_before_they_are_built(monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from urnmix import exact
 from urnmix.bounds import l2n_sq_bound, tv_upper
 from urnmix.catalog import catalog_entries
-from urnmix.chains import initial_state, kernel_row, step_units
+from urnmix.chains import initial_state, kernel_row, step, step_units
 from urnmix.exact import (
     SpaceCapError,
     distance_curve,
@@ -33,7 +33,8 @@ from urnmix.exact import (
     tv_distance,
     _kernel_table,
 )
-from urnmix.models import Family, ModelSpec, checked_space_size, step_count
+from urnmix.models import STEP_CAP, Family, ModelSpec, checked_space_size, step_count
+from urnmix.montecarlo import WalkerStream
 from urnmix.verify import evolution_mismatch, kernel_table_mismatch
 
 
@@ -95,6 +96,19 @@ def test_state_at_rejects_out_of_range_indices(model):
     size = space_size(model)
     for index in (-1, size, size + 7):
         with pytest.raises(ValueError):
+            state_at(model, index)
+
+
+def test_state_at_takes_numpy_ints_and_refuses_floats_and_bools():
+    """A numpy index gives the same state with Python-int fields, which chains.step can take on."""
+    model = ModelSpec(Family.PAIRED_FLIPS, 64, 1)
+    got = state_at(model, np.int64(323))
+    assert got == state_at(model, 323) and type(got.rack1) is int and type(got.signs) is int
+    rng = WalkerStream(5, 0)
+    for _ in range(200):
+        got = step(model, got, rng)
+    for index in (3.0, True):
+        with pytest.raises(ValueError, match="state index"):
             state_at(model, index)
 
 
@@ -355,24 +369,42 @@ def test_space_caps(monkeypatch):
     def no_table(model):
         raise AssertionError("kernel table built before the cap check")
 
-    monkeypatch.setattr(exact, "_kernel_table", no_table)
-    with pytest.raises(SpaceCapError):
-        evolve(ModelSpec(Family.VARIANT, 40, 20), 1)
-    with pytest.raises(SpaceCapError):
-        evolve(ModelSpec(Family.VARIANT, 20, 10), 1, exact=True)  # rational cap
-    with pytest.raises(SpaceCapError):
-        evolve(ModelSpec(Family.VARIANT, 6, 3), 51, exact=True)  # step cap
-    with pytest.raises(SpaceCapError):
-        evolve(ModelSpec(Family.VARIANT, 6, 3), exact.FLOAT_STEP_CAP + 1)  # float step cap
-    with pytest.raises(SpaceCapError):
-        spectrum(ModelSpec(Family.VARIANT, 16, 8))  # dense cap
-    err = None
-    try:
-        evolve(ModelSpec(Family.VARIANT, 40, 20), 1)
-    except SpaceCapError as e:
-        err = e
-    assert err.required == space_size(ModelSpec(Family.VARIANT, 40, 20))
+    with monkeypatch.context() as patch:
+        patch.setattr(exact, "_kernel_table", no_table)
+        with pytest.raises(SpaceCapError):
+            evolve(ModelSpec(Family.VARIANT, 20, 10), 1, exact=True)  # rational cap
+        with pytest.raises(SpaceCapError):
+            evolve(ModelSpec(Family.VARIANT, 6, 3), 51, exact=True)  # step cap
+        with pytest.raises(SpaceCapError) as info:
+            evolve(ModelSpec(Family.VARIANT, 6, 3), STEP_CAP + 1)  # float step cap
+        assert info.value.cap == STEP_CAP
+        with pytest.raises(SpaceCapError):
+            spectrum(ModelSpec(Family.VARIANT, 16, 8))  # dense cap
+    # float evolution's only size gate is the table's byte cap, checked before _ball_bits
+    monkeypatch.setattr(exact, "_ball_bits", _no_ball_bits)
+    model = ModelSpec(Family.VARIANT, 40, 20)
+    with pytest.raises(SpaceCapError) as info:
+        evolve(model, 1)
+    err = info.value
+    assert (err.required, err.cap, err.at_least) == (24 * space_size(model) * 401, exact.TABLE_BYTE_CAP, False)
     assert str(err.cap) in str(err)
+
+
+def test_no_table_past_a_million_states_fits_the_byte_cap(monkeypatch):
+    """The byte cap refuses every model past 10^6 states, so no state cap is needed beside it.
+
+    Each refusal is exact (not at_least), so its required is _table_bytes.
+    """
+    monkeypatch.setattr(exact, "_ball_bits", _no_ball_bits)
+    for family in Family:
+        for n in range(2, 21 if family.signed else 41):
+            for r in range(1, n // 2 + 1):
+                model = ModelSpec(family, n, r)
+                if space_size(model) > 10**6:
+                    with pytest.raises(SpaceCapError) as info:
+                        _kernel_table(model)
+                    err = info.value
+                    assert not err.at_least and err.required > exact.TABLE_BYTE_CAP == err.cap, model
 
 
 def test_table_byte_cap_edge(monkeypatch):
@@ -407,14 +439,9 @@ def _no_ball_bits(n):
      ("classical", 25, 8, 1, False)],
 )
 def test_table_byte_cap_stops_before_allocating(monkeypatch, family, n, r, k, rational):
-    """Tables the state caps let through, stopped before _ball_bits.
-
-    classical(25,8) is past FLOAT_STATE_CAP too, which is lifted here: the
-    byte cap alone stops it.
-    """
+    """Tables past the byte cap, stopped before _ball_bits."""
     monkeypatch.setattr(exact, "_ball_bits", _no_ball_bits)
     model = ModelSpec(Family(family), n, r)
-    monkeypatch.setattr(exact, "FLOAT_STATE_CAP", space_size(model))
     with pytest.raises(SpaceCapError, match="kernel table") as info:
         evolve(model, k, exact=rational)
     assert info.value.cap == exact.TABLE_BYTE_CAP
@@ -453,6 +480,8 @@ def test_space_caps_take_no_time_at_huge_n(family):
             evolve(model, 1, exact=exact_mode)
         assert info.value.at_least and info.value.required > info.value.cap
         assert "needs at least" in str(info.value)
+        if not exact_mode:
+            assert info.value.cap == exact.TABLE_BYTE_CAP
     assert time.perf_counter() - t0 < 0.5
 
 

@@ -46,6 +46,15 @@ def test_walker_stream_draws_are_the_splitmix_hash_of_the_counter(seed, walker):
     assert got == want
 
 
+def test_walker_stream_takes_numpy_ints_and_refuses_floats_and_bools():
+    a, b = WalkerStream(np.int64(7), np.int64(3)), WalkerStream(7, 3)
+    assert [a.integers(1000) for _ in range(50)] == [b.integers(1000) for _ in range(50)]
+    assert type(a._wh) is int
+    for seed, walker in ((7, 3.0), (7, True), (7.0, 3), (False, 3)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            WalkerStream(seed, walker)
+
+
 def test_walker_streams_are_separated():
     a = [WalkerStream(123, 0).integers(10) for _ in range(200)]
     b = [WalkerStream(123, 1).integers(10) for _ in range(200)]
