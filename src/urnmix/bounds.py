@@ -117,87 +117,73 @@ def _log_abs(num: int, den: int) -> float:
     return math.log(a / den) if a else -math.inf
 
 
-def _independent_weights(n: int, r: int) -> dict[int, int]:
-    """Independent-flips weights by eigenvalue numerator, in closed form.
-
-    The eigenvalue depends on (j, ell) alone, and summing the walker's
-    dim[n-j-m, m] * mult over m collapses, through
-    sum_{m <= t} dim[s-m, m] = C(s, t), to
-
-        C(n, j) * dim[j-ell, ell] * sum_{i = ilo..ihi} C(n-j, r-i),
-
-    with ilo, ihi the split bounds of catalog._components.  The inner sum is
-    a difference of prefix sums of C(n-j, u) over u = r-i, so the measure
-    costs O(n^2) terms against the walker's O(n^3).  The trivial component
-    is (j, ell) = (n, 0), which has weight 1, and is left out.
-    """
-    grouped: dict[int, int] = {}
-    choose = 1  # C(n, j)
-    for j in range(n + 1):
-        rest = n - j
-        prefix = [0]  # prefix[t + 1] = sum_{u <= t} C(rest, u)
-        c = 1
-        for u in range(min(r, rest) + 1):
-            prefix.append(prefix[-1] + c)
-            c = c * (rest - u) // (u + 1)
-        for ell, dim in enumerate(catalog._two_row_dims(j, j // 2)):
-            ilo, ihi = max(ell, r - rest), min(r, j - ell)
-            if ilo > ihi or (j == n and ell == 0):
-                continue
-            num = j * j - 2 * ell * (j - ell + 1)
-            weight = choose * dim * (prefix[r - ilo + 1] - prefix[r - ihi])
-            grouped[num] = grouped.get(num, 0) + weight
-        choose = choose * rest // (j + 1)
-    return grouped
-
-
 def _signed_cells(model: ModelSpec, j: int):
-    """The nontrivial signed components with first shape of size j, as int64 arrays.
+    """The nontrivial signed cells (ell, a, b, num) of first size j, as int64 arrays.
 
-    Returns (ell, m, mult, num), one entry per component ([j-l, l]; [n-j-m, m])
-    of catalog._components.  On the (l, m) grid the walker's split count is
+    num is the eigenvalue numerator over n^2, in [-n^2, n^2].  Paired cells
+    are the components ([j-l, l]; [n-j-m, m]) of catalog._components with
+    (a, b) = (m, mult), where on the (l, m) grid the walker's split count is
 
         mult = min(j-l, r-m) - max(l, r-(n-j)+m) + 1,
 
-    and its positive cells are exactly the walker's components at j (mult > 0
-    forces l <= j/2 and m <= (n-j)/2); the trivial (n, 0, 0) is left out.
-    num is the eigenvalue numerator over n^2, in [-n^2, n^2].
+    and its positive cells are exactly the walker's components at j.  An
+    independent eigenvalue depends on (j, l) alone, so its cells are one per
+    l, with (a, b) = (ilo, ihi), the split bounds of catalog._components, and
+    ilo <= ihi.  Both conditions force l, m <= r, where the grids stop.  The
+    trivial cell (j = n, l = m = 0) is left out.
     """
     n, r = model.n, model.r
     rest = n - j
-    ell = np.arange(j // 2 + 1)
-    m = np.arange(rest // 2 + 1)
-    mult = np.minimum.outer(j - ell, r - m)
-    mult -= np.maximum.outer(ell, r - rest + m)
-    mult += 1
+    ell = np.arange(min(j // 2, r) + 1)
+    first = j * j - 2 * ell * (j - ell + 1)
+    if model.family is Family.INDEPENDENT_FLIPS:
+        ilo = np.maximum(ell, r - rest)
+        ihi = np.minimum(r, j - ell)
+        if j == n:
+            ihi[0] = -1
+        at = np.flatnonzero(ilo <= ihi)
+        return at, ilo[at], ihi[at], first[at]
+    m = np.arange(min(rest // 2, r) + 1)
+    mult = np.minimum.outer(j - ell, r - m) - np.maximum.outer(ell, r - rest + m) + 1
     if j == n:
         mult[0, 0] = 0
     ell_at, m_at = np.nonzero(mult > 0)
-    num = (j * j - 2 * ell * (j - ell + 1))[ell_at]
-    if model.family is Family.PAIRED_FLIPS:
-        num += (rest * rest - 2 * m * (rest - m + 1) - rest)[m_at]
+    num = first[ell_at] + (rest * rest - 2 * m * (rest - m + 1) - rest)[m_at]
     return ell_at, m_at, mult[ell_at, m_at], num
 
 
-def _paired_weights(model: ModelSpec) -> tuple[list[int], list[int]]:
-    """Paired-flips (nums, weights), nums descending, one numpy pass per j.
+def _signed_weights(model: ModelSpec) -> tuple[list[int], list[int]]:
+    """Signed (nums, weights), nums descending, one numpy pass per j.
 
-    Each component adds C(n,j) * dim[j-l,l] * dim[n-j-m,m] * mult to its
-    numerator's slot of an object accumulator indexed by num + n^2.  The
-    weights are Python ints in object arrays: they pass int64 near n = 60.
+    Each cell adds C(n,j) * dim[j-l,l] * second to its numerator's slot of an
+    object accumulator indexed by num + n^2.  second is dim[n-j-m,m] * mult
+    for paired flips.  For independent flips it sums that over m, which
+    collapses, through sum_{m <= t} dim[s-m, m] = C(s, t), to
+    sum_{i = ilo..ihi} C(n-j, r-i): a difference of prefix sums of C(n-j, u)
+    over u = r-i, so the measure costs O(n^2) cells against paired's O(n^3).
+    The weights are Python ints in object arrays: they pass int64 near n = 60.
     """
-    n = model.n
+    n, r = model.n, model.r
     offset = n * n
     acc = np.zeros(2 * offset + 1, dtype=object)
     seen = np.zeros(2 * offset + 1, dtype=bool)
-    dims = [np.array(catalog._two_row_dims(s, s // 2), dtype=object) for s in range(n + 1)]
+    dims = [np.array(catalog._two_row_dims(s, min(s // 2, r)), dtype=object) for s in range(n + 1)]
     choose = 1  # C(n, j)
     for j in range(n + 1):
-        ell, m, mult, num = _signed_cells(model, j)
+        rest = n - j
+        ell, a, b, num = _signed_cells(model, j)
+        if model.family is Family.PAIRED_FLIPS:
+            second = dims[rest][a] * b
+        else:
+            binom = [1]  # C(rest, u) for u = 0..min(r, rest)
+            for u in range(min(r, rest)):
+                binom.append(binom[-1] * (rest - u) // (u + 1))
+            prefix = np.array([0, *itertools.accumulate(binom)], dtype=object)
+            second = prefix[r - a + 1] - prefix[r - b]
         num += offset
-        np.add.at(acc, num, (dims[j] * choose)[ell] * dims[n - j][m] * mult)
+        np.add.at(acc, num, (dims[j] * choose)[ell] * second)
         seen[num] = True
-        choose = choose * (n - j) // (j + 1)
+        choose = choose * rest // (j + 1)
     slots = np.flatnonzero(seen)[::-1]
     return (slots - offset).tolist(), acc[slots].tolist()
 
@@ -206,7 +192,7 @@ def _distinct_eigenvalues(model: ModelSpec) -> int:
     """How many distinct nontrivial eigenvalues, counted without any weight.
 
     r for the unsigned families, whose numerators strictly decrease in i;
-    the distinct numerators of the int64 grids of _signed_cells otherwise.
+    the distinct numerators of the int64 cells of _signed_cells otherwise.
     """
     if not model.family.signed:
         return model.r
@@ -220,18 +206,14 @@ def _distinct_eigenvalues(model: ModelSpec) -> int:
 def spectral_measure(model: ModelSpec) -> SpectralMeasure:
     """Group the nontrivial components by eigenvalue, summing exact weights.
 
-    Independent flips use the O(n^2) closed form and paired flips one numpy
-    pass per j over the component grid; the unsigned rows are already one
-    per eigenvalue, in descending order.  SpaceCapError, before any weight
-    is formed, past MEASURE_SIZE_CAP (see catalog._check_measure_size).
+    Both signed families go through _signed_weights, one numpy pass per j
+    over the cells of _signed_cells; the unsigned rows are already one per
+    eigenvalue, in descending order.  SpaceCapError, before any weight is
+    formed, past MEASURE_SIZE_CAP (see catalog._check_measure_size).
     """
     catalog._check_measure_size(model, closed_form=True)
-    if model.family is Family.INDEPENDENT_FLIPS:
-        grouped = _independent_weights(model.n, model.r)
-        nums = sorted(grouped, reverse=True)
-        weights = [grouped[num] for num in nums]
-    elif model.family is Family.PAIRED_FLIPS:
-        nums, weights = _paired_weights(model)
+    if model.family.signed:
+        nums, weights = _signed_weights(model)
     else:
         # every row but the trivial first
         _, weights, _, nums = zip(*itertools.islice(catalog._components(model), 1, None))

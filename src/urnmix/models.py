@@ -7,7 +7,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
+from math import comb, floor, log10
 
 
 class Family(enum.Enum):
@@ -60,14 +60,26 @@ class ModelSpec:
         return self.n if self.family.signed else 0
 
 
+def _figure(x) -> str:
+    """x as a message prints it: an int past 20 digits as 'about 8.69e607', no str() of it."""
+    if not isinstance(x, int) or x < 10**20:  # a grid's point count may be a float
+        return str(x)
+    e = floor(log10(x))
+    head = f"{10 ** (log10(x) - e):.2f}"
+    if head == "10.00":
+        head, e = "1.00", e + 1
+    return f"about {head}e{e}"
+
+
 class SpaceCapError(RuntimeError):
-    """The computation is larger than the requested resource cap."""
+    """The computation is larger than the requested resource cap; required and cap are exact."""
 
     def __init__(self, required: int, cap: int, what: str, at_least: bool = False):
         self.required = required
         self.cap = cap
         self.at_least = at_least  # required is then a lower bound of what it needs
-        super().__init__(f"{what} needs {'at least ' * at_least}{required} but the cap is {cap}")
+        figure = f"{'at least ' * at_least}{_figure(required)}"
+        super().__init__(f"{what} needs {figure} but the cap is {_figure(cap)}")
 
 
 def space_size(model: ModelSpec) -> int:

@@ -308,9 +308,10 @@ def spectral_measure_mismatch(model: ModelSpec, kmax: int) -> str | None:
     """Compare the catalog and the spectral measure with reference_catalog.
 
     The catalog must equal it row for row; the measure must hold its
-    nontrivial eigenvalues with their summed weights; and the float bound,
-    read from bound_curve, must lie within 1e-12 relative of the rational
-    spectral sum of the reference at every k = 0..kmax.
+    nontrivial eigenvalues with their summed weights, as many as the term
+    count behind EXACT_SUM_TOTAL_CAP; and the float bound, read from
+    bound_curve, must lie within 1e-12 relative of the rational spectral
+    sum of the reference at every k = 0..kmax.
     """
     label = _label(model)
     want = reference_catalog(model)
@@ -325,6 +326,9 @@ def spectral_measure_mismatch(model: ModelSpec, kmax: int) -> str | None:
     pairs = {Fraction(num, measure.den): w for num, w in zip(measure.nums, measure.weights)}
     if pairs != grouped:
         return f"{label}: spectral measure differs from the grouped reference"
+    terms = bounds._distinct_eigenvalues(model)
+    if terms != len(measure.nums):
+        return f"{label}: {terms} exact-sum terms counted for {len(measure.nums)} eigenvalues"
     for p in bounds.bound_curve(model, range(kmax + 1)):
         exact_sum = sum(w * lam ** (2 * p.k) for lam, w in grouped.items()) / 4
         if abs(p.l2n_sq - exact_sum) > 1e-12 * exact_sum:
@@ -339,9 +343,10 @@ def spectral_measure() -> str:
         bad = spectral_measure_mismatch(model, kmax)
         if bad:
             raise CheckFailed(bad)
+    terms = sum(bounds._distinct_eigenvalues(model) for model in SPECTRAL_MEASURE_GRID)
     return (
-        f"catalog and measure equal the reference formulas on {len(SPECTRAL_MEASURE_GRID)} "
-        f"models; float bound within 1e-12 of the rational sum, k <= {kmax}"
+        f"catalog, measure and term count ({terms} in all) equal the reference on "
+        f"{len(SPECTRAL_MEASURE_GRID)} models; float bound within 1e-12 of the rational sum, k <= {kmax}"
     )
 
 

@@ -165,7 +165,7 @@ def test_float_bound_tracks_exact_bound(model):
         assert math.isclose(got, float(want), rel_tol=1e-11)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     st.sampled_from(list(Family)),
     st.integers(3, 12),
@@ -208,7 +208,7 @@ def small_models(draw):
     return ModelSpec(family, n, draw(st.integers(1, n // 2)))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(small_models(), st.integers(0, 60))
 @example(ModelSpec(Family.PAIRED_FLIPS, 9, 4), 0)
 @example(ModelSpec(Family.VARIANT, 200, 100), 358)  # the rational crossing of criterion 6
@@ -281,7 +281,7 @@ def test_measure_logs_equal_the_walker_grouped_values(family):
     assert digest.hexdigest() == MEASURE_DIGESTS[family]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.sampled_from(list(Family)), st.integers(2, 9), st.data())
 def test_float_bound_within_1e12_of_exact(family, n, data):
     r = data.draw(st.integers(1, n // 2))
@@ -469,18 +469,33 @@ def test_exact_sum_is_capped_by_total_size(family, n, r, k, terms):
         assert info.value.cap == bounds.EXACT_SUM_TOTAL_CAP
 
 
-def test_exact_sum_total_cap_is_checked_before_any_weight(monkeypatch):
+@pytest.mark.parametrize("model, k, bits, terms", [
     # uncapped, the paired(200,100) measure alone took 0.67 s before the sum raised
+    (ModelSpec(Family.PAIRED_FLIPS, 200, 100), 2048, 2 * 2048 * 16, 22824),  # den = 40000
+    # counted on paired's (l, m) grid, independent(1600,800) took 2.9 s to refuse
+    (ModelSpec(Family.INDEPENDENT_FLIPS, 1600, 800), 2, 2 * 2 * 22, 379494),  # den = 2,560,000
+], ids=["paired", "independent"])
+def test_exact_sum_total_cap_is_checked_before_any_weight(monkeypatch, model, k, bits, terms):
     def no_weights(model):
         raise AssertionError("spectral measure built")
 
     monkeypatch.setattr(bounds, "spectral_measure", no_weights)
-    monkeypatch.setattr(bounds, "_paired_weights", no_weights)
-    model = ModelSpec(Family.PAIRED_FLIPS, 200, 100)  # den = 40000, 16 bits
+    monkeypatch.setattr(bounds, "_signed_weights", no_weights)
+    t0 = time.perf_counter()
     with pytest.raises(SpaceCapError) as info:
-        l2n_sq_bound(model, 2048, exact=True)
-    assert info.value.required == 2 * 2048 * 16 * 22824
+        l2n_sq_bound(model, k, exact=True)
+    assert time.perf_counter() - t0 < 0.5
+    assert info.value.required == bits * terms
     assert info.value.cap == bounds.EXACT_SUM_TOTAL_CAP
+
+
+@pytest.mark.parametrize("family", [Family.INDEPENDENT_FLIPS, Family.PAIRED_FLIPS], ids=["independent", "paired"])
+def test_term_count_is_the_measure_length(family):
+    # the count behind EXACT_SUM_TOTAL_CAP walks the builder's cells without weights
+    for n in range(2, 41):
+        for r in range(1, n // 2 + 1):
+            model = ModelSpec(family, n, r)
+            assert bounds._distinct_eigenvalues(model) == len(spectral_measure(model).nums), model
 
 
 @pytest.mark.parametrize("model", [

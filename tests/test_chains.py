@@ -78,7 +78,7 @@ def ranked_masks(draw):
     return mask, draw(st.integers(0, mask.bit_count() - 1))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(ranked_masks())
 @example((1, 0))
 @example(((1 << 63) - 1, 0))
@@ -275,7 +275,7 @@ def test_paired_flip_parity():
         state = nxt
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 10**9), st.sampled_from(SMALL_MODELS))
 def test_stream_consumption_is_fixed_per_step(seed, model):
     """Each step draws from exactly the bounds of draw_bounds, in order."""

@@ -361,6 +361,19 @@ def test_exact_rational_sum_cap_exit(capsys, monkeypatch):
     assert "needs 50 but the cap is 40" in err
 
 
+@pytest.mark.parametrize("family, n, r, figure", [
+    ("independent", 1000, 500, "about 8.69e607"),
+    ("paired", 3000, 1500, "about 3.57e1812"),
+])
+def test_exact_cap_exit_prints_a_huge_figure_short(capsys, family, n, r, figure):
+    # the full figures ran to 674 and 1,879 characters of stderr
+    code, out, err = run_cli(capsys, "exact", "--family", family, "--n", str(n), "--r", str(r), "--k", "1")
+    assert code == 3
+    assert out == ""
+    assert f"needs {figure} but the cap is 1073741824" in err
+    assert len(err) < 100
+
+
 def test_bounds_sum_cap_exit(capsys, monkeypatch):
     # no bounds mode takes an exact sum: stand one in for the sweep
     monkeypatch.setattr(bounds, "bound_curve", lambda model, ks: bounds.l2n_sq_bound(model, 10**5, exact=True))

@@ -268,7 +268,7 @@ def rational_models(draw):
     return ModelSpec(family, n, draw(st.integers(1, n // 2)))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(rational_models(), st.integers(0, 12))
 @example(ModelSpec(Family.CLASSICAL, 2, 1), 0)
 @example(ModelSpec(Family.CLASSICAL, 2, 1), 5)
@@ -485,6 +485,20 @@ def test_space_caps_take_no_time_at_huge_n(family):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_space_cap_error_keeps_huge_figures_exact_and_prints_them_short():
+    # str() of a 5,001-digit int raises ValueError past Python's 4,300-digit limit
+    k = 10**5000
+    for call, required in ((lambda: evolve(ModelSpec(Family.VARIANT, 4, 2), k), k),
+                           (lambda: l2n_sq_bound(ModelSpec(Family.VARIANT, 10, 5), k, exact=True), 2 * k * 7)):
+        with pytest.raises(SpaceCapError) as info:
+            call()
+        assert info.value.required == required
+        message = str(info.value)
+        assert "needs about " in message and f"cap is {info.value.cap}" in message
+        assert len(message) < 100
+    assert "needs about 1.00e25 " in str(SpaceCapError(99951 * 10**20, 1, "x"))  # 9.9951e24 rounds up
+
+
 def test_negative_step_counts_are_rejected():
     model = ModelSpec(Family.VARIANT, 6, 3)
     for call in (lambda: step_count(-1), lambda: evolve(model, -1), lambda: evolve(model, -1, exact=True),
@@ -527,7 +541,7 @@ def test_kernel_table_equals_oracle(family, n, r):
     assert kernel_table_mismatch(model, _kernel_table(model)) is None
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(
     family=st.sampled_from(list(Family)),
     n=st.integers(min_value=2, max_value=9),

@@ -470,7 +470,7 @@ def ranked_masks(draw):
     return width, [(m, draw(st.integers(0, m.bit_count() - 1))) for m in masks]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(ranked_masks())
 @example((1, [((1 << 64) - 1, 63)]))
 @example((1, [(1 << 63, 0)]))
@@ -498,7 +498,7 @@ def models(draw):
     return ModelSpec(family, n, draw(st.integers(1, n // 2)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(models(), st.integers(0, 30), st.integers(0, 10**6), st.integers(1, 12))
 @example(ModelSpec(Family.CLASSICAL, 63, 31), 30, 0, 5)
 @example(ModelSpec(Family.VARIANT, 64, 32), 30, 7, 5)
